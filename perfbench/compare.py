@@ -5,8 +5,9 @@
 
 Each side's metric is the median over its records. An end-to-end metric
 regresses when the new median is worse than the base median by more than
-the metric's bound in BENCHMARK.json; per-layer metrics are listed without a
-verdict. Exit status: 0 no regression, 1 regression, 3 refused.
+the metric's bound in BENCHMARK.json; per-layer metrics and the records'
+diagnostics (steal, per-operation latencies) are listed without a verdict.
+Exit status: 0 no regression, 1 regression, 3 refused.
 
 The comparison is refused, loudly, when the records' host fingerprints
 differ in any identity field (CPU model, core count, clock, governor,
@@ -91,6 +92,12 @@ def main():
             verdict = "per-layer"
         unit = first["metrics"][name]["unit"]
         print(f"{name:30s} {b:12.5g} {n:12.5g} {change:+9.2%}  {verdict}  [{unit}]")
+    for name in first.get("diagnostics", {}):
+        b = statistics.median(r["diagnostics"][name]["value"] for r in base)
+        n = statistics.median(r["diagnostics"][name]["value"] for r in new)
+        change = (n - b) / b if b else 0.0
+        unit = first["diagnostics"][name]["unit"]
+        print(f"{name:30s} {b:12.5g} {n:12.5g} {change:+9.2%}  diagnostic  [{unit}]")
     sys.exit(1 if regressed else 0)
 
 

@@ -161,7 +161,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=30)  # BENCHMARK.json's run_seconds
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="result record path (default: under the build directory)")
     parser.add_argument("--selftest", action="store_true", help="run the benchmark's self-tests")
@@ -203,7 +203,8 @@ def main():
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "correct": correct, "attempted": result["attempted"],
-        "failed": result["failed"], "metrics": metrics, "fingerprint": fp, "notes": lines,
+        "failed": result["failed"], "metrics": metrics,
+        "diagnostics": result.get("diagnostics", {}), "fingerprint": fp, "notes": lines,
     }
     out = args.out or os.path.join(
         os.path.dirname(build_dir()), "results",

@@ -68,23 +68,36 @@ void Result::add(std::string name, double value, std::string unit) {
 
 void Result::note(std::string line) { notes.push_back(std::move(line)); }
 
-void Result::print() const {
-  for (const std::string& line : notes) std::printf("%s\n", line.c_str());
-  for (const Metric& m : metrics)
-    std::printf("%-30s %14.6g %s\n", m.name.c_str(), m.value, m.unit.c_str());
-  std::string json = format("RESULT {\"attempted\":%llu,\"failed\":%llu,\"metrics\":{",
-                            static_cast<unsigned long long>(attempted),
-                            static_cast<unsigned long long>(failed));
+void Result::diagnose(std::string name, double value, std::string unit) {
+  diagnostics.push_back({std::move(name), value, std::move(unit)});
+}
+
+namespace {
+
+/// {"name":{"value":v,"unit":"u"},...}. A non-finite value would be invalid
+/// JSON; it becomes null and run.py treats the run as broken.
+std::string metrics_json(const std::vector<Result::Metric>& metrics) {
+  std::string json = "{";
   for (std::size_t i = 0; i < metrics.size(); ++i) {
-    // A non-finite value would be invalid JSON; it becomes null and the
-    // run.py treats the run as broken.
     const double v = metrics[i].value;
     json += format("%s\"%s\":{\"value\":", i == 0 ? "" : ",", metrics[i].name.c_str());
     json += std::isfinite(v) ? format("%.17g", v) : std::string("null");
     json += format(",\"unit\":\"%s\"}", metrics[i].unit.c_str());
   }
-  json += "}}";
-  std::printf("%s\n", json.c_str());
+  return json + "}";
+}
+
+}  // namespace
+
+void Result::print() const {
+  for (const std::string& line : notes) std::printf("%s\n", line.c_str());
+  for (const Metric& m : diagnostics)
+    std::printf("diagnostic %-30s %14.6g %s\n", m.name.c_str(), m.value, m.unit.c_str());
+  for (const Metric& m : metrics)
+    std::printf("%-30s %14.6g %s\n", m.name.c_str(), m.value, m.unit.c_str());
+  std::printf("RESULT {\"attempted\":%llu,\"failed\":%llu,\"metrics\":%s,\"diagnostics\":%s}\n",
+              static_cast<unsigned long long>(attempted), static_cast<unsigned long long>(failed),
+              metrics_json(metrics).c_str(), metrics_json(diagnostics).c_str());
   std::fflush(stdout);
 }
 
@@ -113,16 +126,6 @@ double StealMeter::percent() const {
   return total > total_ ? 100.0 * static_cast<double>(steal - steal_) /
                               static_cast<double>(total - total_)
                         : 0.0;
-}
-
-std::vector<std::size_t> quietest_half(const std::vector<double>& steal) {
-  std::vector<std::size_t> order(steal.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return steal[a] < steal[b]; });
-  order.resize((steal.size() + 1) / 2);
-  std::sort(order.begin(), order.end());
-  return order;
 }
 
 double peak_rss_mb() {

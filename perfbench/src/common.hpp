@@ -55,13 +55,17 @@ struct Result {
     std::string unit;
   };
   std::vector<Metric> metrics;
+  /// Figures kept in the record beside the metrics, without a bound.
+  std::vector<Metric> diagnostics;
   std::vector<std::string> notes;
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;
 
   void add(std::string name, double value, std::string unit);
+  void diagnose(std::string name, double value, std::string unit);
   void note(std::string line);
-  /// Prints the notes, then one "RESULT {json}" line.
+  /// Prints the notes, then one "RESULT {json}" line with the metrics and
+  /// the diagnostics.
   void print() const;
 };
 
@@ -79,10 +83,6 @@ class StealMeter {
  private:
   unsigned long long steal_ = 0, total_ = 0;
 };
-
-/// Indices of the ceil(n / 2) entries of @p steal with the least steal:
-/// the time segments whose figures a run reports.
-std::vector<std::size_t> quietest_half(const std::vector<double>& steal);
 
 /// Peak resident set size of this process, in MB.
 double peak_rss_mb();

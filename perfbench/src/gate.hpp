@@ -7,7 +7,8 @@
 // scaled residual and orthogonality defect are within the limits below.
 // Units are n * eps * ||.||_F, with n the larger matrix dimension:
 //   evd   max_k ||A v_k - lambda_k v_k|| / (n eps ||A||_F),  ||V^T V - I||_max / (n eps)
-//   svd   max_k ||A v_k - sigma_k u_k|| / (n eps ||A||_F),   ||V^T V - I||_max / (n eps)
+//   svd   max_k ||A v_k - sigma_k u_k|| / (n eps ||A||_F),
+//         max(||V^T V - I||_max, ||U^T U - I||_max) / (n eps)
 //   pca   as svd, on the column-centred input
 //   gevd  max_k ||A x_k - lambda_k B x_k|| / (n eps (||A||_F + |lambda_k| ||B||_F) ||x_k||),
 //         B-orthonormality ||X^T B X - I||_max / (n eps)
@@ -24,8 +25,9 @@ namespace perfbench {
 
 /// Limits in units of n * eps (see above). Converged results of the
 /// benchmark's workloads read at most about 200 (a Gershgorin-shifted evd
-/// residual; a wide svd's V inherits the 1e-12 rotation threshold, about
-/// 70); a solve stopped a few sweeps early reads about 1e12.
+/// residual; the B / sigma side of an svd or pca, U when tall and V when
+/// wide, inherits the 1e-12 rotation threshold, about 70); a solve stopped
+/// two sweeps early reads about 1e12 to 1e13 (the self-test checks this).
 inline constexpr double kResidualLimit = 1000.0;
 inline constexpr double kOrthogonalityLimit = 1000.0;
 
@@ -36,7 +38,8 @@ struct Verdict {
   std::string why;             ///< empty when ok
 };
 
-/// Checks one report of @p spec solved on input @p a.
+/// Checks one report of @p spec solved on input @p a. The readings are
+/// filled for every status-OK report, converged or not.
 Verdict check_report(const jmh::api::SolverSpec& spec, const jmh::la::Matrix& a,
                      const jmh::api::SolveReport& report);
 

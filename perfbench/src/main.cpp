@@ -5,7 +5,7 @@
 //   perfbench selftest
 //
 // `run` prints human-readable condition lines, then one
-// "RESULT {attempted, failed, metrics}" line and one "HOST {...}" line.
+// "RESULT {attempted, failed, metrics, diagnostics}" line and one "HOST {...}" line.
 #include <cstdio>
 #include <cstdlib>
 #include <exception>

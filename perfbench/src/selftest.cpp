@@ -8,14 +8,17 @@
 //               the jobs due during it;
 //   backlog     a rate far above capacity is marked failing, a low one
 //               passes, and max_rate interpolates between them;
-//   gate        a status-OK report with converged == false fails, and so do
-//               the eigenvectors of an indefinite matrix solved without the
-//               Gershgorin shift, while the shifted solves pass.
+//   gate        a status-OK report with converged == false fails, and a
+//               solve capped two sweeps in also fails on its residual or
+//               orthogonality readings alone, for evd, tall and wide svd and
+//               pca; so do the eigenvectors of an indefinite matrix solved
+//               without the Gershgorin shift, while the shifted solves pass.
 #include <cstdio>
 #include <map>
 #include <thread>
 
 #include "api/solver.hpp"
+#include "la/sym_gen.hpp"
 #include "gate.hpp"
 #include "service_mix.hpp"
 #include "workloads.hpp"
@@ -125,12 +128,30 @@ void test_due_time_and_backlog() {
 void test_gate() {
   using jmh::api::Solver;
   using jmh::api::SolverSpec;
+  // A solve capped at 2 sweeps returns status OK with converged == false,
+  // and the gate rejects it. Its numbers must fail too, without the flag's
+  // help. For svd and pca the residual cannot (U = A V / sigma), so it is
+  // the orthogonality of the B / sigma side that fails.
+  for (const char* text : {"task=evd,m=32,d=2,shift=1", "task=svd,m=48,rows=64,d=2",
+                           "task=svd,m=64,rows=40,d=2", "task=pca,m=24,rows=64,d=2,stop=offdiag_abs"}) {
+    const SolverSpec full = SolverSpec::parse(text);
+    const SolverSpec cut = SolverSpec::parse(std::string(text) + ",max_sweeps=2");
+    jmh::Xoshiro256 rng = input_rng(5, 0);
+    const jmh::la::Matrix a = full.task == jmh::api::Task::Evd
+                                  ? jmh::la::random_uniform_symmetric(full.m, rng)
+                                  : jmh::la::random_uniform(full.input_rows(), full.m, rng);
+    const Verdict done = check_report(full, a, Solver::solve(full, a));
+    const jmh::api::SolveReport capped_report = Solver::solve(cut, a);
+    const Verdict early = check_report(cut, a, capped_report);
+    const bool numbers_fail = early.residual > kResidualLimit || early.orthogonality > kOrthogonalityLimit;
+    expect(done.ok && capped_report.status == jmh::api::SolveStatus::Ok &&
+               !capped_report.converged && !early.ok && numbers_fail,
+           format("gate: %s converged reads residual %.3g, orthogonality %.3g; capped at 2 sweeps "
+                  "(status OK, converged == false) %.3g, %.3g n*eps", text, done.residual,
+                  done.orthogonality, early.residual, early.orthogonality));
+  }
+
   const std::vector<jmh::la::Matrix> ring = make_ring(3, 32, 40);
-  const SolverSpec capped = SolverSpec::parse("task=evd,m=32,d=2,shift=1,max_sweeps=2");
-  const jmh::api::SolveReport r = Solver::solve(capped, ring[0]);
-  const Verdict v = check_report(capped, ring[0], r);
-  expect(r.status == jmh::api::SolveStatus::Ok && !r.converged && !v.ok,
-         "gate: a status-OK report with converged == false fails (" + v.why + ")");
 
   const SolverSpec plain = SolverSpec::parse("task=evd,ordering=minalpha,m=32,d=2");
   const SolverSpec shifted = SolverSpec::parse("task=evd,ordering=minalpha,m=32,d=2,shift=1");

@@ -23,29 +23,35 @@ inline constexpr std::size_t kDispatchers = 2;
 /// limit separates a saturated service from scheduling noise.
 inline constexpr double kLimitMs = 100.0;
 /// The arrival-rate ladder (jobs/s), ascending, and its nominal rate.
-inline constexpr double kLadder[] = {500,  1000, 1200, 1300, 1400, 1500, 1600,
-                                     1700, 1800, 1900, 2000, 2100, 2200};
+inline constexpr double kLadder[] = {500,  1000, 1200, 1300, 1400, 1500, 1600, 1700, 1800,
+                                     1900, 2000, 2100, 2200, 2300, 2400, 2500, 2600, 2700, 2800};
 inline constexpr double kNominalRate = 500;
 
 /// The service every service_mix run starts: kDispatchers dispatchers, a
 /// queue the open loop never fills, a 64-plan cache, coalescing up to 4.
 jmh::svc::ServiceConfig service_config();
 
-/// One hot job class of the mix: a spec string, its share of the jobs, and
-/// the input family its matrices come from.
+/// One hot job class of the mix: a spec string, the number of lines of the
+/// recorded mix (examples/workloads/service_mix.txt) it stands for, and the
+/// input family its matrices come from.
 struct JobClass {
   const char* name;
   const char* spec;
-  double weight;
+  int lines;
   enum Input { kSymmetric, kGeneral, kSpd } input;
   int pair;  ///< task pair for speedup_vs_inline (inline and mpi twins), -1 none
   bool mpi;
 };
 
-/// The mix's hot classes (shares sum to 1 - kColdShare).
+/// The mix's hot classes: the inline and mpi lines of the recorded mix,
+/// grouped by task, backend, ordering and shape kind.
 const std::vector<JobClass>& hot_classes();
-/// Share of jobs with a distinct spec each: they miss the plan cache.
+/// Share of jobs with a distinct spec each: they miss the plan cache. The
+/// recorded mix has no cold jobs, so this share is an assumption.
 inline constexpr double kColdShare = 0.03;
+/// A hot class's share of the jobs: its recorded lines over all the hot
+/// classes' lines, times 1 - kColdShare.
+double hot_share(const JobClass& c);
 
 /// One scheduled arrival: due time from the rung's start, job class
 /// (hot_classes() index, or -1 for a cold job) and input index.
@@ -85,6 +91,7 @@ struct RungOutcome {
   std::vector<double> lag_ms;      ///< submission - due, per job
   std::vector<double> queue_ms;    ///< report.timings.queue_ns, per served job
   std::vector<int> cls;            ///< class per job
+  std::vector<std::size_t> input;  ///< input index per job
   bool early_stop = false;       ///< backlog passed the hard cap; rest not sent
   /// The mean backlog over the last third of the submissions exceeds the
   /// first third's by more than max(8, the arrivals of a quarter limit).
