@@ -46,9 +46,21 @@ void fill_svd_solution(SolveReport& report, solve::SvdSolveResult&& sr) {
   report.comm = sr.comm;
 }
 
+/// The plan span (armed by spec.trace) and the plan_ns clock, opened at the
+/// top of each Solver::plan overload so both cover the ordering build and
+/// validation, not only SolvePlan's own compile steps: without pipeline=auto
+/// the ordering build is most of a plan.
+struct PlanClock {
+  explicit PlanClock(const SolverSpec& spec)
+      : arm(spec.trace), span("plan", obs::Category::kPlan, static_cast<std::uint64_t>(spec.m)) {}
+  obs::ArmScope arm;
+  obs::SpanScope span;
+  std::uint64_t t0 = obs::trace_now_ns();
+};
+
 }  // namespace
 
-SolvePlan::SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering)
+SolvePlan::SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering, std::uint64_t plan_t0)
     : spec_(spec),
       adapter_(&adapter_for(spec.task)),
       ordering_(std::move(ordering)),
@@ -57,12 +69,6 @@ SolvePlan::SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering)
       layout_(adapter_->core_geometry(spec).cols, spec.d) {
   JMH_REQUIRE(ordering_.dimension() == spec_.d, "ordering dimension must match spec.d");
   JMH_REQUIRE(ordering_.kind() == spec_.ordering, "ordering kind must match spec.ordering");
-  // A traced spec records plan compilation as a span; plan_ns_ itself is
-  // measured unconditionally (two clock reads amortized over every solve).
-  const obs::ArmScope arm(spec_.trace);
-  const obs::SpanScope plan_span("plan", obs::Category::kPlan,
-                                 static_cast<std::uint64_t>(spec_.m));
-  const std::uint64_t plan_t0 = obs::trace_now_ns();
   // threads= is an execution knob, not part of the numerical scenario:
   // apply it best-effort (an active pool keeps its width) and move on.
   if (spec_.threads > 0 && exec::ThreadPool::enabled())
@@ -236,12 +242,19 @@ std::vector<SolveReport> SolvePlan::solve_batch(const std::vector<la::Matrix>& a
 }
 
 SolvePlan Solver::plan(const SolverSpec& spec) {
+  const PlanClock clock(spec);
   JMH_REQUIRE(spec.ordering != ord::OrderingKind::Custom,
               "custom orderings carry their own sequences; use plan(spec, ordering)");
-  return plan(spec, ord::JacobiOrdering(spec.ordering, spec.d));
+  return compile(spec, ord::JacobiOrdering(spec.ordering, spec.d), clock.t0);
 }
 
 SolvePlan Solver::plan(const SolverSpec& spec, ord::JacobiOrdering ordering) {
+  const PlanClock clock(spec);
+  return compile(spec, std::move(ordering), clock.t0);
+}
+
+SolvePlan Solver::compile(const SolverSpec& spec, ord::JacobiOrdering ordering,
+                          std::uint64_t plan_t0) {
   JMH_REQUIRE(spec.d >= 1, "hypercube dimension must be >= 1");
   // Task-specific legality (shapes, bseed, per-task knob bans) lives with
   // the adapter; the gates below are task-agnostic and phrased against the
@@ -261,7 +274,7 @@ SolvePlan Solver::plan(const SolverSpec& spec, ord::JacobiOrdering ordering) {
     JMH_REQUIRE(!spec.gershgorin_shift,
                 "topk needs shift=0 (the shift reorders the spectrum the ranking tracks)");
   }
-  return SolvePlan(spec, std::move(ordering));
+  return SolvePlan(spec, std::move(ordering), plan_t0);
 }
 
 SolveReport Solver::solve(const SolverSpec& spec, const la::Matrix& a) {

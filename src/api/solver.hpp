@@ -85,7 +85,8 @@ class SolvePlan {
 
  private:
   friend class Solver;
-  SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering);
+  /// @p plan_t0 is the obs::trace_now_ns() at which Solver::plan started.
+  SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering, std::uint64_t plan_t0);
 
   /// The backend dispatch over the CORE matrix (the task adapter's
   /// pre-transforms -- shift, transpose, centering, whitening -- already
@@ -100,9 +101,9 @@ class SolvePlan {
   solve::BlockLayout layout_;
   std::uint64_t q_ = 0;
   double planned_cost_ = 0.0;
-  /// Wall time of plan compilation, echoed into every report's
-  /// timings.plan_ns (the plan is the amortized cost a caller should see
-  /// attributed, however many solves it serves).
+  /// Wall time of Solver::plan (ordering build, validation, compile),
+  /// echoed into every report's timings.plan_ns (the plan is the amortized
+  /// cost a caller should see attributed, however many solves it serves).
   std::uint64_t plan_ns_ = 0;
 };
 
@@ -120,6 +121,12 @@ class Solver {
 
   /// One-shot convenience: plan + solve. Prefer a reused plan on hot paths.
   static SolveReport solve(const SolverSpec& spec, const la::Matrix& a);
+
+ private:
+  /// Shared tail of both plan overloads: validation and SolvePlan
+  /// construction, timed from @p plan_t0.
+  static SolvePlan compile(const SolverSpec& spec, ord::JacobiOrdering ordering,
+                           std::uint64_t plan_t0);
 };
 
 }  // namespace jmh::api

@@ -14,8 +14,8 @@ namespace jmh::obs {
 
 /// Phase-attributed wall-time breakdown of one solve.
 ///
-/// plan_ns is the SolvePlan compile time (ordering validation + pipelining
-/// optimizer), measured once at plan construction and echoed by every solve
+/// plan_ns is the api::Solver::plan time (ordering construction, validation,
+/// pipelining optimizer), measured once per plan and echoed by every solve
 /// of that plan -- a cache-hit service job reports the original compile
 /// cost, which is exactly the amortization story. queue_ns and retries are
 /// filled by svc::SolverService for service jobs (submission to dispatch;

@@ -41,7 +41,7 @@ namespace jmh::obs {
 
 /// Span category, doubling as the Chrome "cat" field (category_name).
 enum class Category : std::uint8_t {
-  kPlan,      ///< SolvePlan construction (ordering checks, pipelining optimizer)
+  kPlan,      ///< Solver::plan (ordering build, checks, pipelining optimizer)
   kSweep,     ///< one full sweep of the protocol on one endpoint
   kComm,      ///< transport exchanges and convergence allreduces
   kAssembly,  ///< final block collection + eigenpair/sigma extraction

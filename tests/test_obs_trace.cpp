@@ -4,6 +4,8 @@
 // report timings, and the Chrome trace_event JSON golden.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <regex>
@@ -16,6 +18,7 @@
 #include "common/alloc_guard.hpp"
 #include "la/sym_gen.hpp"
 #include "obs/trace.hpp"
+#include "ord/ordering.hpp"
 #include "svc/service.hpp"
 
 namespace jmh::obs {
@@ -152,6 +155,22 @@ TEST(Trace, TracedSolvePopulatesPhaseTimings) {
   // a comm total beyond sweep + one allreduce would be double counting.
   EXPECT_EQ(r.timings.queue_ns, 0u);  // svc fills this; a direct solve does not
   EXPECT_EQ(r.timings.retries, 0u);
+}
+
+// plan_ns covers the whole Solver::plan, ordering construction included
+// (most of a plan without pipeline=auto), so it cannot report less than
+// the fastest standalone build of the same ordering.
+TEST(Trace, PlanNsCoversOrderingConstruction) {
+  std::uint64_t fastest_ordering_ns = UINT64_MAX;
+  for (int i = 0; i < 5; ++i) {
+    const std::uint64_t t0 = trace_now_ns();
+    const ord::JacobiOrdering ordering(ord::OrderingKind::MinAlpha, 3);
+    fastest_ordering_ns = std::min(fastest_ordering_ns, trace_now_ns() - t0);
+  }
+  const la::Matrix a = test_matrix(16, 3);
+  const api::SolveReport r =
+      api::Solver::plan(api::SolverSpec::parse("ordering=minalpha,m=16,d=3")).solve(a);
+  EXPECT_GE(r.timings.plan_ns, fastest_ordering_ns);
 }
 
 // Service jobs carry the serving-plane attribution: queue_ns from the

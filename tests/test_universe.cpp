@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
+
+#include "api/solver.hpp"
+#include "la/eigen_check.hpp"
+#include "la/sym_gen.hpp"
 
 namespace jmh::net {
 namespace {
@@ -76,6 +82,20 @@ TEST(Universe, ExceptionPropagatesWithoutDeadlock) {
                std::runtime_error);
 }
 
+TEST(Universe, ExceptionWakesParkedReceivers) {
+  // As above, but the failure comes long after the other ranks' spin
+  // budgets ran out, so the poison must wake receivers that have parked.
+  Universe u(4);
+  EXPECT_THROW(u.run([](Comm& c) {
+    if (c.rank() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::runtime_error("rank 0 failed late");
+    }
+    c.recv(0, 999);
+  }),
+               std::runtime_error);
+}
+
 TEST(Universe, ExceptionInBarrierPropagates) {
   Universe u(3);
   EXPECT_THROW(u.run([](Comm& c) {
@@ -117,6 +137,47 @@ TEST(Universe, ManyMessagesStressOrdering) {
       for (int i = 0; i < kN; ++i) EXPECT_EQ(c.recv_scalar(0, 7), static_cast<double>(i));
     }
   });
+}
+
+// 16 ranks on a host with fewer cores: ranks are descheduled while their
+// partners wait on them, so a receive whose spin held its core without
+// yielding would starve the partner it waits for. Each rank runs ahead of
+// its ring successor as far as scheduling lets it, and each round's two
+// tags are received in reverse send order, so per-(source, tag) FIFO is
+// exercised across a queue of other messages.
+TEST(Universe, OversubscribedRingKeepsFifo) {
+  constexpr int kRanks = 16;
+  constexpr int kRounds = 2000;
+  Universe u(kRanks);
+  std::atomic<int> bad{0};
+  u.run([&](Comm& c) {
+    const int next = (c.rank() + 1) % kRanks;
+    const int prev = (c.rank() + kRanks - 1) % kRanks;
+    for (int r = 0; r < kRounds; ++r) {
+      c.send_scalar(next, 0, static_cast<double>(r));
+      c.send_scalar(next, 1, static_cast<double>(-r));
+      if (c.recv_scalar(prev, 1) != static_cast<double>(-r)) ++bad;
+      if (c.recv_scalar(prev, 0) != static_cast<double>(r)) ++bad;
+    }
+  });
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(u.stats().messages, std::uint64_t{2} * kRanks * kRounds);
+}
+
+// A d=3 mpi solve runs 8 ranks, twice the cores of a 4-core host,
+// and must still match inline exactly as in the transport parity suite.
+TEST(Universe, OversubscribedMpiSolveMatchesInline) {
+  Xoshiro256 rng(31);
+  const la::Matrix a = la::random_uniform_symmetric(32, rng);
+  api::SolverSpec spec = api::SolverSpec::parse("ordering=minalpha,m=32,d=3");
+  const api::SolveReport inline_r = api::Solver::plan(spec).solve(a);
+  spec.backend = api::Backend::MpiLite;
+  const api::SolveReport mpi_r = api::Solver::plan(spec).solve(a);
+  ASSERT_TRUE(inline_r.converged);
+  ASSERT_TRUE(mpi_r.converged);
+  EXPECT_EQ(mpi_r.sweeps, inline_r.sweeps);
+  EXPECT_LT(la::spectrum_distance(mpi_r.eigenvalues, inline_r.eigenvalues), 1e-12);
+  EXPECT_LT(la::Matrix::max_abs_diff(mpi_r.eigenvectors, inline_r.eigenvectors), 1e-12);
 }
 
 TEST(Universe, RejectsBadRankCount) {
