@@ -1,21 +1,26 @@
 #include "net/mailbox.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 
 namespace jmh::net {
 
 namespace {
 
-// Spin budget of a receive miss before it parks: kSpinRounds rounds of
-// kPausesPerRound pause instructions (tens of microseconds), with a
-// std::this_thread::yield() after each round from kYieldFromRound on. A
-// longer or yield-free spin holds a core that a descheduled partner needs:
-// a 1 ms yield-free spin kept the median of small mpi solves but raised
-// their p90 1.7-3.8x on a 4-vCPU host (PERF.md).
-constexpr int kSpinRounds = 8;
-constexpr int kPausesPerRound = 128;
-constexpr int kYieldFromRound = kSpinRounds / 2;
+// Spin budget of a receive miss before it parks, bounded in time rather
+// than in pause instructions (a pause lasts ~10 cycles on some cores and
+// ~140 on others; aarch64's yield hint is close to a no-op). The receive
+// polls the arrival counter with cpu_relax() and reads the clock once per
+// kPollsPerClockRead polls; from kYieldAfter on it also gives up its core
+// with std::this_thread::yield() between polls. A longer or yield-free spin
+// holds a core that a descheduled partner needs. On a 4-vCPU host a 1 ms
+// yield-free spin kept the median of small mpi solves but raised their p90
+// 1.7-3.8x, and a 50 us budget raised it too, where 20 us lowered it
+// (PERF.md).
+constexpr auto kSpinBudget = std::chrono::microseconds(20);
+constexpr auto kYieldAfter = kSpinBudget / 2;
+constexpr int kPollsPerClockRead = 32;
 
 inline void cpu_relax() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -27,12 +32,18 @@ inline void cpu_relax() noexcept {
 
 /// Spins until @p arrivals moves past @p seen or the budget runs out.
 void spin_for_arrival(const std::atomic<std::uint64_t>& arrivals, std::uint64_t seen) {
-  for (int round = 0; round < kSpinRounds; ++round) {
-    for (int i = 0; i < kPausesPerRound; ++i) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
+  const Clock::time_point yield_from = start + kYieldAfter;
+  const Clock::time_point deadline = start + kSpinBudget;
+  for (;;) {
+    for (int i = 0; i < kPollsPerClockRead; ++i) {
       if (arrivals.load(std::memory_order_relaxed) != seen) return;
       cpu_relax();
     }
-    if (round >= kYieldFromRound) std::this_thread::yield();
+    const Clock::time_point now = Clock::now();
+    if (now >= deadline) return;
+    if (now >= yield_from) std::this_thread::yield();
   }
 }
 
@@ -85,6 +96,13 @@ Message Mailbox::receive(int source, int tag) {
 void Mailbox::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   queue_.clear();
+}
+
+bool Mailbox::probe(int source, int tag) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::any_of(queue_.begin(), queue_.end(), [&](const Message& m) {
+    return m.source == source && m.tag == tag;
+  });
 }
 
 std::size_t Mailbox::pending() const {

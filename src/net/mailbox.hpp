@@ -10,11 +10,11 @@
 // each other within microseconds, so a futex sleep plus a cross-core
 // wake-up per message would cost more than the exchange itself. A receive
 // that misses first spins on the mailbox's arrival counter for a short,
-// fixed budget (a compile-time constant in mailbox.cpp, tens of
-// microseconds), yielding the core through the second half of it so a
-// descheduled partner can run on an oversubscribed host; only then does it
-// park on the condition variable. deliver() notifies only when a receiver
-// is actually parked, so the hot path makes no futex syscall.
+// fixed time budget (20 us, a compile-time constant in mailbox.cpp),
+// yielding the core through the second half of it so a descheduled
+// partner can run on an oversubscribed host; only then does it park on the
+// condition variable. deliver() notifies only when a receiver is actually
+// parked, so the hot path makes no futex syscall.
 #pragma once
 
 #include <atomic>
@@ -51,6 +51,9 @@ class Mailbox {
 
   /// Removes all queued messages (used when a Universe is reused).
   void clear();
+
+  /// Non-blocking probe: true if a matching message is queued.
+  bool probe(int source, int tag) const;
 
   /// Messages currently queued (any source/tag).
   std::size_t pending() const;

@@ -37,6 +37,15 @@ TEST(Mailbox, FifoPerSourceTag) {
   EXPECT_EQ(mb.receive(0, 1).data[0], 20.0);
 }
 
+TEST(Mailbox, Probe) {
+  Mailbox mb;
+  EXPECT_FALSE(mb.probe(0, 0));
+  mb.deliver({0, 0, 0, {}});
+  EXPECT_TRUE(mb.probe(0, 0));
+  EXPECT_FALSE(mb.probe(0, 1));
+  EXPECT_FALSE(mb.probe(1, 0));
+}
+
 // Blocks until @p mb has recorded @p n parks (a receiver is then waiting on
 // the condition variable: parks are counted under the mailbox lock).
 void wait_for_parks(const Mailbox& mb, std::uint64_t n) {

@@ -72,28 +72,22 @@ TEST(Universe, RepeatedBarriers) {
 }
 
 TEST(Universe, ExceptionPropagatesWithoutDeadlock) {
-  Universe u(4);
-  EXPECT_THROW(u.run([](Comm& c) {
-    if (c.rank() == 2) throw std::runtime_error("rank 2 failed");
-    // Other ranks block on a message that will never come; the poison
-    // mechanism must wake them.
-    c.recv(3, 999);
-  }),
-               std::runtime_error);
-}
-
-TEST(Universe, ExceptionWakesParkedReceivers) {
-  // As above, but the failure comes long after the other ranks' spin
-  // budgets ran out, so the poison must wake receivers that have parked.
-  Universe u(4);
-  EXPECT_THROW(u.run([](Comm& c) {
-    if (c.rank() == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      throw std::runtime_error("rank 0 failed late");
-    }
-    c.recv(0, 999);
-  }),
-               std::runtime_error);
+  // Other ranks block on a message that will never come; the poison
+  // mechanism must wake them. With no delay the failure reaches them while
+  // they spin; after 20 ms their spin budgets have run out and they have
+  // parked.
+  for (const int delay_ms : {0, 20}) {
+    Universe u(4);
+    EXPECT_THROW(u.run([&](Comm& c) {
+      if (c.rank() == 2) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+        throw std::runtime_error("rank 2 failed");
+      }
+      c.recv(3, 999);
+    }),
+                 std::runtime_error)
+        << "delay_ms=" << delay_ms;
+  }
 }
 
 TEST(Universe, ExceptionInBarrierPropagates) {
