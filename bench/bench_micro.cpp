@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <string>
 
 #include "api/solver.hpp"
 #include "common/cancel.hpp"
@@ -21,8 +22,7 @@
 #include "pipe/optimizer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/programs.hpp"
-#include "solve/parallel_jacobi.hpp"
-#include "solve/pipelined_executor.hpp"
+#include "solve/jacobi_node.hpp"
 #include "svc/service.hpp"
 
 namespace {
@@ -145,36 +145,31 @@ void BM_SimulatedPhase(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedPhase)->Arg(5)->Arg(7)->Arg(9);
 
-void BM_InlineSolve(benchmark::State& state) {
+// One-shot solves: the plan (spec + a prebuilt ordering) is compiled
+// inside the timed loop, so each iteration pays plan construction plus the
+// solve -- the per-call cost of a caller that does not reuse plans.
+void one_shot_solves(benchmark::State& state, const std::string& spec_prefix) {
   const auto m = static_cast<std::size_t>(state.range(0));
   jmh::Xoshiro256 rng(7);
   const jmh::la::Matrix a = jmh::la::random_uniform_symmetric(m, rng);
   const jmh::ord::JacobiOrdering ordering(jmh::ord::OrderingKind::Degree4, 2);
+  const auto spec =
+      jmh::api::SolverSpec::parse(spec_prefix + ",ordering=d4,d=2,m=" + std::to_string(m));
   for (auto _ : state)
-    benchmark::DoNotOptimize(jmh::solve::solve_inline(a, ordering));
+    benchmark::DoNotOptimize(jmh::api::Solver::plan(spec, ordering).solve(a));
+}
+
+void BM_InlineSolve(benchmark::State& state) {
+  one_shot_solves(state, "backend=inline");
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InlineSolve)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 
-void BM_MpiSolve(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  jmh::Xoshiro256 rng(7);
-  const jmh::la::Matrix a = jmh::la::random_uniform_symmetric(m, rng);
-  const jmh::ord::JacobiOrdering ordering(jmh::ord::OrderingKind::Degree4, 2);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(jmh::solve::solve_mpi(a, ordering));
-}
+void BM_MpiSolve(benchmark::State& state) { one_shot_solves(state, "backend=mpi"); }
 BENCHMARK(BM_MpiSolve)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 void BM_MpiSolvePipelined(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  jmh::Xoshiro256 rng(7);
-  const jmh::la::Matrix a = jmh::la::random_uniform_symmetric(m, rng);
-  const jmh::ord::JacobiOrdering ordering(jmh::ord::OrderingKind::Degree4, 2);
-  jmh::solve::PipelinedSolveOptions opts;
-  opts.q = 4;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(jmh::solve::solve_mpi_pipelined(a, ordering, opts));
+  one_shot_solves(state, "backend=mpi,pipeline=4");
 }
 BENCHMARK(BM_MpiSolvePipelined)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
@@ -182,7 +177,7 @@ BENCHMARK(BM_MpiSolvePipelined)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond)
 // The facade exists to amortize expensive setup (ordering sequences, sweep
 // schedule, auto pipelining degree) across many solves. These three cases
 // price that claim: building a plan, solving with a reused plan, and
-// rebuilding the plan for every solve (what the legacy free functions do).
+// rebuilding the plan for every solve.
 
 void BM_PlanConstruction(benchmark::State& state) {
   // MinAlpha is the expensive ordering (backtracking sequence search);
@@ -349,9 +344,9 @@ BENCHMARK(BM_ServiceThroughput)
 // each) through `workers` concurrent dispatchers, so jobs x ranks well
 // exceeds the host's hardware threads. This is the case the shared
 // exec::ThreadPool exists for -- rank gangs from concurrent jobs interleave
-// on one fixed worker set instead of multiplying threads. The same binary
-// run with JMH_EXEC_POOL=off measures the legacy thread-per-rank baseline
-// (PERF.md records the A/B).
+// on one fixed worker set instead of multiplying threads. PERF.md records
+// the A/B against the thread-per-rank dispatch this replaced, measured
+// before that mode was removed.
 void BM_ServiceOversub(benchmark::State& state) {
   constexpr std::size_t kJobs = 8;
   const std::string spec = "backend=mpi,ordering=d4,m=32,d=2";  // 4 ranks per job

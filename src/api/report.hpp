@@ -1,9 +1,11 @@
-// SolveReport: the one result type of the api facade. Subsumes the legacy
-// per-executor results (solve::DistributedResult, solve::SimSolveResult):
-// eigenpairs and convergence counters always, mpi_lite traffic counters for
-// the MpiLite backend, and the modeled-time / link-utilization section for
-// the Sim backend -- so callers switch backends without switching result
-// handling, in the spirit of standardized benchmark reporting.
+// SolveReport: the one result type of a solve, whatever the backend or
+// task: the solution and convergence counters always, mpi_lite traffic
+// counters for the MpiLite backend, and the modeled-time /
+// link-utilization section for the Sim backend -- so callers switch
+// backends without switching result handling, in the spirit of
+// standardized benchmark reporting. SolvePlan fills it straight from the
+// sweep engine's counters and the block assembly; no intermediate result
+// type sits between the core and this struct.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +40,7 @@ std::string to_string(SolveStatus status);
 
 /// The typed failure of the api/svc surface: carries its SolveStatus so
 /// callers dispatch on taxonomy, not on what() substrings. Derives from
-/// std::runtime_error, so legacy catch sites keep working.
+/// std::runtime_error, so generic catch sites still see it.
 class SolveError : public std::runtime_error {
  public:
   SolveError(SolveStatus status, const std::string& what)

@@ -1,7 +1,9 @@
 #include "api/solver.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "api/task_adapter.hpp"
@@ -11,40 +13,13 @@
 #include "pipe/optimizer.hpp"
 #include "solve/fault_injection.hpp"
 #include "solve/inline_transport.hpp"
-#include "solve/mpi_transport.hpp"
 #include "solve/parallel_jacobi.hpp"
 #include "solve/sim_transport.hpp"
 #include "solve/sweep_engine.hpp"
-// Sanctioned upward include (svc sits above api in the layer graph, see
-// ARCHITECTURE.md): solve_batch delegates to the service layer's pool so
-// batch solves run in parallel while staying bit-identical per matrix.
-#include "svc/service.hpp"
 
 namespace jmh::api {
 
 namespace {
-
-/// Moves the executor-agnostic solution fields into a report.
-void fill_solution(SolveReport& report, solve::DistributedResult&& dr) {
-  report.eigenvalues = std::move(dr.eigenvalues);
-  report.eigenvectors = std::move(dr.eigenvectors);
-  report.sweeps = dr.sweeps;
-  report.converged = dr.converged;
-  report.rotations = dr.rotations;
-  report.comm = dr.comm;
-}
-
-/// Same for a task=svd run: V rides in the eigenvectors slot (see
-/// SolveReport), sigma and U in their own fields.
-void fill_svd_solution(SolveReport& report, solve::SvdSolveResult&& sr) {
-  report.singular_values = std::move(sr.singular_values);
-  report.u = std::move(sr.u);
-  report.eigenvectors = std::move(sr.v);
-  report.sweeps = sr.sweeps;
-  report.converged = sr.converged;
-  report.rotations = sr.rotations;
-  report.comm = sr.comm;
-}
 
 /// The plan span (armed by spec.trace) and the plan_ns clock, opened at the
 /// top of each Solver::plan overload so both cover the ordering build and
@@ -71,8 +46,7 @@ SolvePlan::SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering, std::uint64_
   JMH_REQUIRE(ordering_.kind() == spec_.ordering, "ordering kind must match spec.ordering");
   // threads= is an execution knob, not part of the numerical scenario:
   // apply it best-effort (an active pool keeps its width) and move on.
-  if (spec_.threads > 0 && exec::ThreadPool::enabled())
-    exec::ThreadPool::global().ensure_workers(spec_.threads);
+  if (spec_.threads > 0) exec::ThreadPool::global().ensure_workers(spec_.threads);
   switch (spec_.pipelining) {
     case PipeliningPolicy::Off:
       q_ = 0;
@@ -123,17 +97,25 @@ SolveReport SolvePlan::solve_prepared(const la::Matrix& a,
     const obs::SpanScope span("assemble", obs::Category::kAssembly,
                               static_cast<std::uint64_t>(a.cols()),
                               opts.timing != nullptr ? &opts.timing->assembly_ns : nullptr);
-    if (svd)
-      fill_svd_solution(report, solve::assemble_svd_result(std::move(blocks), a.rows(),
-                                                           a.cols(), er.sweeps, er.converged,
-                                                           er.rotations, er.leading));
-    else
-      fill_solution(report, solve::assemble_result(std::move(blocks), a.rows(), er.sweeps,
-                                                   er.converged, er.rotations, er.leading));
+    if (svd) {
+      la::SvdResult sr =
+          solve::assemble_svd_result(std::move(blocks), a.rows(), a.cols(), er.leading);
+      // V rides in the eigenvectors slot (see SolveReport).
+      report.singular_values = std::move(sr.singular_values);
+      report.u = std::move(sr.u);
+      report.eigenvectors = std::move(sr.v);
+    } else {
+      solve::EigenPairs ep = solve::assemble_result(std::move(blocks), a.rows(), er.leading);
+      report.eigenvalues = std::move(ep.eigenvalues);
+      report.eigenvectors = std::move(ep.eigenvectors);
+    }
+    report.sweeps = er.sweeps;
+    report.converged = er.converged;
+    report.rotations = er.rotations;
   };
 
   // Single-owner backends wrap their transport in the fault decorator only
-  // when a schedule is armed (mpi wraps per rank inside run_mpi_protocol);
+  // when a schedule is armed (mpi wraps per rank inside solve::run_mpi);
   // a non-Ok engine status aborts before assembly -- partial blocks never
   // become a report.
   const auto run_engine = [&](solve::Transport& transport) {
@@ -159,20 +141,17 @@ SolveReport SolvePlan::solve_prepared(const la::Matrix& a,
     }
     case Backend::MpiLite: {
       report.pipelining_q = q_;
-      if (svd)
-        fill_svd_solution(report, solve::solve_mpi_svd_like(a, ordering_, opts, q_));
-      else
-        fill_solution(report, solve::solve_mpi_like(a, ordering_, opts, q_));
+      solve::MpiRun run = solve::run_mpi(a, ordering_, opts, q_);
+      report.comm = run.comm;
+      assemble(std::move(run.blocks), run.engine);
       break;
     }
     case Backend::Sim: {
       report.pipelining_q = q_;
-      solve::SimSolveOptions sopts;
-      static_cast<solve::SolveOptions&>(sopts) = opts;
-      sopts.machine = spec_.machine;
-      sopts.overlap_startup = spec_.overlap_startup;
-      sopts.pipelined_q = q_;
-      solve::SimTransport transport(a, spec_.d, sopts);
+      solve::SimTransport transport(a, spec_.d,
+                                    {.machine = spec_.machine,
+                                     .overlap_startup = spec_.overlap_startup,
+                                     .pipelined_q = q_});
       const solve::EngineResult er = run_engine(transport);
       assemble(transport.collect_blocks(), er);
       report.has_model = true;
@@ -192,7 +171,6 @@ SolveReport SolvePlan::solve(const la::Matrix& a, const SolveOverrides& override
   adapter_->check_input(spec_, a);
 
   solve::SolveOptions opts = spec_.solve_options();
-  opts.gershgorin_shift = false;  // the evd adapter's prepare unwraps it
   opts.cancel = overrides.cancel;
   // The deadline is relative to THIS call, chained under any caller token:
   // whichever fires first decides the status.
@@ -238,7 +216,32 @@ SolveReport SolvePlan::solve(const la::Matrix& a, const SolveOverrides& override
 }
 
 std::vector<SolveReport> SolvePlan::solve_batch(const std::vector<la::Matrix>& as) const {
-  return svc::solve_batch_parallel(*this, as);
+  std::vector<SolveReport> reports(as.size());
+  // Every matrix is attempted and each keeps its own error, so the one
+  // rethrown below is the LOWEST-INDEX failure whatever the pool width or
+  // the finishing order.
+  std::vector<std::exception_ptr> errors(as.size());
+  std::atomic<std::size_t> next{0};
+  const auto run = [&] {
+    for (std::size_t i = next.fetch_add(1); i < as.size(); i = next.fetch_add(1)) {
+      try {
+        reports[i] = solve(as[i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  // Runners on the shared pool drain one index; the caller runs too, so
+  // every matrix is attempted even if no worker frees up, and the helping
+  // wait keeps a batch issued from inside a pool task deadlock-free.
+  exec::ThreadPool& pool = exec::ThreadPool::global();
+  exec::ThreadPool::TaskGroup group = pool.group();
+  for (std::size_t t = 1; t < std::min(pool.workers(), as.size()); ++t) group.add(run);
+  run();
+  group.wait();
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+  return reports;
 }
 
 SolvePlan Solver::plan(const SolverSpec& spec) {

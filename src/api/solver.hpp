@@ -12,12 +12,12 @@
 // degree (pipe::find_optimal_sweep_q) are all computed here and amortized
 // over every subsequent solve. A SolvePlan has no mutable state: concurrent
 // plan.solve calls from different threads are safe (each run builds its own
-// Transport), which is the hot-path shape the ROADMAP's many-scenario
-// serving target needs.
+// Transport), which is the hot-path shape a many-scenario service needs.
 //
-// The legacy free functions (solve_inline / solve_mpi / solve_mpi_pipelined
-// / solve_sim) survive as deprecated thin wrappers that build a one-shot
-// plan and delegate here.
+// This is the only way to run a solve: every backend (inline, mpi, sim) and
+// every task goes through SolvePlan::solve, and every solve returns one
+// SolveReport. The solve/ layer underneath exposes only the pieces a plan
+// composes (transports, the sweep engine, block assembly).
 #pragma once
 
 #include <vector>
@@ -77,10 +77,12 @@ class SolvePlan {
   SolveReport solve(const la::Matrix& a, const SolveOverrides& overrides) const;
 
   /// Solves several matrices with one plan (the amortization the facade
-  /// exists for). Runs on the svc layer's transient worker pool, so batch
-  /// throughput scales with cores; each report is bit-identical to a
-  /// sequential solve() of the same matrix, and reports are returned in
-  /// input order.
+  /// exists for). Runs as tasks on the process-wide exec::ThreadPool with
+  /// the caller helping, so batch throughput scales with cores; each report
+  /// is bit-identical to a sequential solve() of the same matrix, and
+  /// reports are returned in input order. Every matrix is attempted; if any
+  /// solve throws, the exception of the lowest-index failure is rethrown
+  /// once all have finished.
   std::vector<SolveReport> solve_batch(const std::vector<la::Matrix>& as) const;
 
  private:

@@ -500,14 +500,4 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-bool ThreadPool::enabled() {
-  static const bool on = [] {
-    const char* v = std::getenv("JMH_EXEC_POOL");
-    if (!v) return true;
-    const std::string s(v);
-    return !(s == "off" || s == "0" || s == "no");
-  }();
-  return on;
-}
-
 }  // namespace jmh::exec

@@ -1,14 +1,13 @@
 // exec::ThreadPool: the process-wide execution substrate.
 //
-// Before this layer existed, every concurrent construct in the repo spawned
-// raw std::threads: each mpi_lite solve started one thread per rank
-// (net::Universe::run) and each parallel batch a transient pool -- so eight
-// concurrent jobs on an eight-rank plan put 64 runnable threads on the
-// host, thrashing caches exactly the way the paper's fixed-P machine model
-// says not to. This pool is the fix: ONE fixed set of worker threads
-// (hardware_concurrency by default) that every layer above draws from, so
-// concurrent jobs interleave on the same workers instead of multiplying
-// them.
+// Every concurrent construct in the library runs on ONE fixed set of worker
+// threads (hardware_concurrency by default): mpi_lite rank gangs
+// (net::Universe::run), batch solves (api::SolvePlan::solve_batch) and the
+// compute the svc dispatchers trigger. Concurrent jobs therefore interleave
+// on the same workers instead of multiplying threads -- eight concurrent
+// jobs on an eight-rank plan do not put 64 runnable threads on the host,
+// which is what the paper's fixed-P machine model asks for. There is no
+// second, thread-per-use mode.
 //
 // Two kinds of work, with different scheduling contracts:
 //
@@ -140,11 +139,6 @@ class ThreadPool {
   /// The process-wide pool every layer shares. Created on first use with
   /// JMH_EXEC_THREADS (worker count) and JMH_EXEC_PIN=1 (pinning) honored.
   static ThreadPool& global();
-
-  /// False when JMH_EXEC_POOL=off: callers (net::Universe, svc) fall back
-  /// to the legacy spawn-threads-per-use paths. Exists so the thread-per-
-  /// rank baseline stays measurable with the same binary (PERF.md A/B).
-  static bool enabled();
 
  private:
   struct Task {

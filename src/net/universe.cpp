@@ -1,7 +1,5 @@
 #include "net/universe.hpp"
 
-#include <thread>
-
 #include "common/alloc_guard.hpp"
 #include "common/assert.hpp"
 #include "exec/thread_pool.hpp"
@@ -68,11 +66,10 @@ void Universe::run(const std::function<void(Comm&)>& fn) {
   barrier_episodes_.store(0);
 
   // Rank bodies block on each other (mailbox receives, barriers), so they
-  // need num_ranks_ live threads: a gang on the process-wide pool when it
-  // is enabled, one dedicated thread per rank otherwise (JMH_EXEC_POOL=off
-  // keeps the legacy baseline measurable from the same binary).
-  const auto rank_body = [this, &fn](int r) {
-    Comm comm(*this, r);
+  // need num_ranks_ live threads: a gang on the process-wide pool, whose
+  // admission guarantees exactly that.
+  exec::ThreadPool::global().run_gang(static_cast<std::size_t>(num_ranks_), [&](std::size_t r) {
+    Comm comm(*this, static_cast<int>(r));
     try {
       fn(comm);
     } catch (const UniversePoisoned&) {
@@ -80,17 +77,7 @@ void Universe::run(const std::function<void(Comm&)>& fn) {
     } catch (...) {
       poison(std::current_exception());
     }
-  };
-  if (exec::ThreadPool::enabled()) {
-    exec::ThreadPool::global().run_gang(
-        static_cast<std::size_t>(num_ranks_),
-        [&rank_body](std::size_t r) { rank_body(static_cast<int>(r)); });
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(num_ranks_));
-    for (int r = 0; r < num_ranks_; ++r) threads.emplace_back([&rank_body, r] { rank_body(r); });
-    for (auto& t : threads) t.join();
-  }
+  });
 
   std::lock_guard<std::mutex> lock(error_mu_);
   if (first_error_) std::rethrow_exception(first_error_);

@@ -1,11 +1,12 @@
-// mpi_lite runtime: a fixed set of ranks backed by threads.
+// mpi_lite runtime: a fixed set of ranks run as one gang on the
+// process-wide exec::ThreadPool.
 //
 // Universe owns the mailboxes and the barrier; Comm is the per-rank handle
 // passed to the user function (the moral equivalent of MPI_COMM_WORLD plus
 // a rank). Exceptions thrown by any rank are captured and rethrown from
-// run() after all threads join, so a failing rank cannot deadlock the test
-// suite -- remaining ranks blocked in receive() would hang, therefore a
-// failing rank poisons the universe and wakes everyone.
+// run() after every rank has returned, so a failing rank cannot deadlock
+// the test suite -- remaining ranks blocked in receive() would hang,
+// therefore a failing rank poisons the universe and wakes everyone.
 #pragma once
 
 #include <atomic>
@@ -36,10 +37,9 @@ class Universe {
 
   int size() const noexcept { return num_ranks_; }
 
-  /// Runs @p fn once per rank, concurrently -- as a gang on the
-  /// process-wide exec::ThreadPool, or on one dedicated thread per rank
-  /// when JMH_EXEC_POOL=off -- and returns when all ranks finish.
-  /// Rethrows the first exception raised by any rank.
+  /// Runs @p fn once per rank, concurrently, as a gang on the process-wide
+  /// exec::ThreadPool (exec::ThreadPool::run_gang), and returns when all
+  /// ranks finish. Rethrows the first exception raised by any rank.
   void run(const std::function<void(Comm&)>& fn);
 
   /// Traffic counters accumulated during the most recent run() (reset at

@@ -38,8 +38,8 @@ OptimalQ find_optimal_q_ideal(int e, double step_elems, const MachineParams& mac
                               std::uint64_t q_max);
 
 /// Single sweep-wide pipelining degree for an executor that packetizes every
-/// exchange phase at the same q (solve_mpi_pipelined, the api facade's Auto
-/// policy): the q in [1, q_max] minimizing the summed pipelined cost of all
+/// exchange phase at the same q (the api facade's pipeline=auto policy on
+/// backend=mpi|sim): the q in [1, q_max] minimizing the summed pipelined cost of all
 /// exchange phases e = d..1 of @p ordering for the problem geometry in
 /// @p prob (prob.d must match the ordering; prob.rows makes the payload
 /// model rows-aware -- a tall task=svd transition carries

@@ -4,6 +4,8 @@
 #include "common/bitops.hpp"
 #include "common/stats.hpp"
 #include "la/sym_gen.hpp"
+#include "solve/inline_transport.hpp"
+#include "solve/sweep_engine.hpp"
 
 namespace jmh::solve {
 
@@ -26,7 +28,10 @@ ConvergenceCell convergence_cell(std::size_t m, int p, ord::OrderingKind kind,
     Xoshiro256 rng(config.seed ^ (static_cast<std::uint64_t>(m) << 32) ^
                    static_cast<std::uint64_t>(rep));
     const la::Matrix a = la::random_uniform_symmetric(m, rng);
-    const DistributedResult r = solve_inline(a, ordering, opts);
+    // Only the sweep count matters here, so the engine runs directly on the
+    // inline substrate: no plan, no eigenpair assembly.
+    InlineTransport transport(a, d);
+    const EngineResult r = run_sweep_protocol(transport, ordering, opts);
     JMH_CHECK(r.converged, "convergence experiment instance did not converge");
     stats.add(static_cast<double>(r.sweeps));
   }

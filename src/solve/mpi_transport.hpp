@@ -24,7 +24,7 @@
 #include "la/matrix.hpp"
 #include "net/hypercube_comm.hpp"
 #include "solve/block_layout.hpp"
-#include "solve/parallel_jacobi.hpp"
+#include "solve/jacobi_node.hpp"
 #include "solve/transport.hpp"
 
 namespace jmh::solve {
@@ -74,18 +74,5 @@ class MpiLiteTransport : public Transport {
   std::vector<ColumnBlock> incoming_scratch_;
   ColumnBlock merge_scratch_;
 };
-
-/// Shared executor core of solve_mpi / solve_mpi_pipelined: spins up an
-/// mpi_lite universe and runs the sweep engine over one MpiLiteTransport
-/// endpoint per rank. @p q as in MpiLiteTransport. The Gershgorin shift
-/// must already be unwrapped by the caller.
-DistributedResult solve_mpi_like(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                                 const SolveOptions& opts, std::uint64_t q);
-
-/// SVD counterpart of solve_mpi_like: the identical universe + sweep-engine
-/// run over the a.cols() columns of a rectangular @p a, assembled as
-/// singular triplets (assemble_svd_result) instead of eigenpairs.
-SvdSolveResult solve_mpi_svd_like(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                                  const SolveOptions& opts, std::uint64_t q);
 
 }  // namespace jmh::solve

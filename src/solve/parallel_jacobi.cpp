@@ -5,11 +5,8 @@
 #include <numeric>
 
 #include "common/assert.hpp"
-#include "obs/trace.hpp"
 #include "solve/fault_injection.hpp"
-#include "solve/legacy_bridge.hpp"
 #include "solve/mpi_transport.hpp"
-#include "solve/sweep_engine.hpp"
 
 namespace jmh::solve {
 
@@ -30,14 +27,8 @@ std::vector<std::size_t> sorted_selection(const std::vector<std::size_t>& leadin
 
 }  // namespace
 
-DistributedResult assemble_result(std::vector<ColumnBlock> blocks, std::size_t m, int sweeps,
-                                  bool converged, std::size_t rotations,
-                                  const std::vector<std::size_t>& leading) {
-  DistributedResult out;
-  out.sweeps = sweeps;
-  out.converged = converged;
-  out.rotations = rotations;
-
+EigenPairs assemble_result(std::vector<ColumnBlock> blocks, std::size_t m,
+                           const std::vector<std::size_t>& leading) {
   la::Matrix b(m, m);
   la::Matrix v(m, m);
   std::vector<char> seen(m, 0);
@@ -71,6 +62,7 @@ DistributedResult assemble_result(std::vector<ColumnBlock> blocks, std::size_t m
             [&](std::size_t x, std::size_t y) { return lambda[x] < lambda[y]; });
 
   const std::size_t k_out = order.size();
+  EigenPairs out;
   out.eigenvalues.resize(k_out);
   out.eigenvectors = la::Matrix(m, k_out);
   for (std::size_t k = 0; k < k_out; ++k) {
@@ -81,18 +73,8 @@ DistributedResult assemble_result(std::vector<ColumnBlock> blocks, std::size_t m
   return out;
 }
 
-DistributedResult solve_inline(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                               const SolveOptions& opts) {
-  JMH_REQUIRE(a.is_square(), "eigenproblem needs a square matrix");
-  const api::SolverSpec spec = legacy::spec_for(a, ordering, opts, api::Backend::Inline);
-  return legacy::to_distributed(
-      api::Solver::plan(spec, ordering).solve(a, legacy::overrides_for(opts)));
-}
-
-SvdSolveResult assemble_svd_result(std::vector<ColumnBlock> blocks, std::size_t rows,
-                                   std::size_t cols, int sweeps, bool converged,
-                                   std::size_t rotations,
-                                   const std::vector<std::size_t>& leading) {
+la::SvdResult assemble_svd_result(std::vector<ColumnBlock> blocks, std::size_t rows,
+                                  std::size_t cols, const std::vector<std::size_t>& leading) {
   la::Matrix b(rows, cols);
   la::Matrix v(cols, cols);
   std::vector<char> seen(cols, 0);
@@ -111,13 +93,13 @@ SvdSolveResult assemble_svd_result(std::vector<ColumnBlock> blocks, std::size_t 
   JMH_REQUIRE(std::all_of(seen.begin(), seen.end(), [](char c) { return c != 0; }),
               "final blocks do not cover every column");
 
-  SvdSolveResult out;
+  la::SvdResult out;
   if (leading.empty() || leading.size() == cols) {
     // Full extraction -- also taken by topk == m, whose selection covers
     // every column: routing through the identical call keeps it
     // bit-identical to the full solve.
     if (!leading.empty()) sorted_selection(leading, cols);  // validate only
-    static_cast<la::SvdResult&>(out) = la::svd_from_bv(b, v);
+    out = la::svd_from_bv(b, v);
   } else {
     // Truncated extraction, mirroring la::svd_from_bv over the selected
     // columns: sigma descending, ties by ascending global column index
@@ -146,27 +128,13 @@ SvdSolveResult assemble_svd_result(std::vector<ColumnBlock> blocks, std::size_t 
       std::copy(vcol.begin(), vcol.end(), out.v.col(k).begin());
     }
   }
-  out.sweeps = sweeps;
-  out.converged = converged;
-  out.rotations = rotations;
   return out;
 }
 
-namespace {
-
-/// The shared mpi_lite run: spins up the universe, drives the protocol on
-/// every rank, and hands rank 0's collected blocks (plus traffic) to the
-/// caller's assembly -- identical for the EVD and SVD entry points.
-struct MpiRunOutcome {
-  std::vector<ColumnBlock> blocks;  ///< rank 0's full final block set
-  EngineResult engine;
-  net::CommStats comm;
-};
-
-MpiRunOutcome run_mpi_protocol(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                               const SolveOptions& opts, std::uint64_t q) {
+MpiRun run_mpi(const la::Matrix& a, const ord::JacobiOrdering& ordering,
+               const SolveOptions& opts, std::uint64_t q) {
   net::Universe universe(1 << ordering.dimension());
-  MpiRunOutcome out;
+  MpiRun out;
   std::mutex out_mu;
   universe.run([&](net::Comm& comm) {
     MpiLiteTransport transport(comm, a, q);
@@ -192,40 +160,6 @@ MpiRunOutcome run_mpi_protocol(const la::Matrix& a, const ord::JacobiOrdering& o
   out.comm = universe.stats();
   if (out.engine.status != RunStatus::Ok) throw SolveInterrupted(out.engine.status);
   return out;
-}
-
-}  // namespace
-
-DistributedResult solve_mpi_like(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                                 const SolveOptions& opts, std::uint64_t q) {
-  MpiRunOutcome run = run_mpi_protocol(a, ordering, opts, q);
-  const obs::SpanScope span("assemble", obs::Category::kAssembly, a.rows(),
-                            opts.timing != nullptr ? &opts.timing->assembly_ns : nullptr);
-  DistributedResult result =
-      assemble_result(std::move(run.blocks), a.rows(), run.engine.sweeps,
-                      run.engine.converged, run.engine.rotations, run.engine.leading);
-  result.comm = run.comm;
-  return result;
-}
-
-SvdSolveResult solve_mpi_svd_like(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                                  const SolveOptions& opts, std::uint64_t q) {
-  MpiRunOutcome run = run_mpi_protocol(a, ordering, opts, q);
-  const obs::SpanScope span("assemble", obs::Category::kAssembly, a.cols(),
-                            opts.timing != nullptr ? &opts.timing->assembly_ns : nullptr);
-  SvdSolveResult result =
-      assemble_svd_result(std::move(run.blocks), a.rows(), a.cols(), run.engine.sweeps,
-                          run.engine.converged, run.engine.rotations, run.engine.leading);
-  result.comm = run.comm;
-  return result;
-}
-
-DistributedResult solve_mpi(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                            const SolveOptions& opts) {
-  JMH_REQUIRE(a.is_square(), "eigenproblem needs a square matrix");
-  const api::SolverSpec spec = legacy::spec_for(a, ordering, opts, api::Backend::MpiLite);
-  return legacy::to_distributed(
-      api::Solver::plan(spec, ordering).solve(a, legacy::overrides_for(opts)));
 }
 
 }  // namespace jmh::solve

@@ -1,88 +1,80 @@
-// Distributed one-sided Jacobi eigensolver driven by a JacobiOrdering.
+// Distributed one-sided Jacobi eigensolver driven by a JacobiOrdering: the
+// core pieces api::SolvePlan composes into a solve.
 //
-// NOTE: the free functions here (and in pipelined_executor.hpp /
-// sim_transport.hpp) are the LEGACY entry points, kept as thin wrappers
-// over the api facade; new code should describe the scenario with an
-// api::SolverSpec and reuse an api::SolvePlan (api/solver.hpp).
-//
-// All executors share one sweep engine (solve/sweep_engine.hpp) and differ
-// only in the Transport they plug into it:
-//   * solve_inline: InlineTransport -- the 2^d nodes simulated sequentially
-//     in one thread (deterministic; used for the Table 2 convergence
-//     experiments);
-//   * solve_mpi: MpiLiteTransport -- each node an mpi_lite rank on its own
-//     thread, exchanging blocks with real messages over the hypercube
-//     overlay -- the shape an MPI port of the paper's algorithm would take;
-//   * solve_mpi_pipelined (pipelined_executor.hpp): MpiLiteTransport with
-//     packetized exchange phases;
-//   * solve_sim (sim_transport.hpp): SimTransport -- inline numerics with
-//     modeled per-link time under pipe::MachineParams.
+// Every backend runs the one sweep engine (solve/sweep_engine.hpp) and
+// differs only in the Transport it plugs into it:
+//   * InlineTransport -- the 2^d nodes simulated sequentially in one thread
+//     (deterministic; used for the Table 2 convergence experiments);
+//   * MpiLiteTransport -- each node an mpi_lite rank exchanging blocks with
+//     real messages over the hypercube overlay (run_mpi below), optionally
+//     with packetized, pipelined exchange phases;
+//   * SimTransport -- inline numerics with modeled per-link time under
+//     pipe::MachineParams.
+// The engine's EngineResult carries the counters (sweeps, convergence,
+// rotations); the final blocks go through assemble_result or
+// assemble_svd_result, which extract the solution and nothing else.
 //
 // Each sweep: intra-block pairings, then the 2^{d+1}-1 step/transition
 // pairs of the ordering (inter-block pairings + mobile exchange or division
 // transfer). Convergence: a sweep in which no node applies any rotation.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "la/svd.hpp"
 #include "net/universe.hpp"
 #include "ord/ordering.hpp"
 #include "solve/jacobi_node.hpp"
-#include "solve/transport.hpp"
+#include "solve/sweep_engine.hpp"
 
 namespace jmh::solve {
 
-struct DistributedResult {
+/// The symmetric eigensolution extracted from a run's final blocks.
+struct EigenPairs {
   std::vector<double> eigenvalues;  ///< ascending
   la::Matrix eigenvectors;          ///< column k pairs with eigenvalues[k]
-  int sweeps = 0;                   ///< sweeps that performed >= 1 rotation
-  bool converged = false;
-  std::size_t rotations = 0;
-  /// Traffic of the mpi_lite run (zero for solve_inline).
-  net::CommStats comm;
 };
 
-/// Sequentially-simulated distributed solve on a d-cube.
-/// DEPRECATED: thin wrapper over the api facade -- builds a one-shot
-/// api::SolverSpec per call. New code should compile an api::SolvePlan once
-/// and reuse it (api/solver.hpp).
-DistributedResult solve_inline(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                               const SolveOptions& opts = {});
-
-/// Thread-per-node distributed solve over mpi_lite.
-/// DEPRECATED: thin wrapper over the api facade (see solve_inline note).
-DistributedResult solve_mpi(const la::Matrix& a, const ord::JacobiOrdering& ordering,
-                            const SolveOptions& opts = {});
-
-/// Assembles eigenpairs from final node blocks (exposed for the executors
-/// and tests). Blocks must jointly cover all m columns. A non-empty
-/// @p leading (EngineResult::leading of a topk run) restricts the output
-/// to those columns: eigenvalues/eigenvectors carry only the selected
-/// pairs, still sorted by eigenvalue ascending. With leading covering
-/// every column the result is bit-identical to the unrestricted assembly
-/// -- the selection is sorted ascending first, so the extraction sort
-/// starts from the same permutation the full path uses.
-DistributedResult assemble_result(std::vector<ColumnBlock> blocks, std::size_t m, int sweeps,
-                                  bool converged, std::size_t rotations,
-                                  const std::vector<std::size_t>& leading = {});
-
-/// Distributed SVD outcome: la::SvdResult plus the run's traffic counters.
-struct SvdSolveResult : la::SvdResult {
-  net::CommStats comm;  ///< mpi_lite traffic (zero for single-owner runs)
-};
+/// Extracts eigenpairs from final node blocks. Blocks must jointly cover
+/// all m columns. A non-empty @p leading (EngineResult::leading of a topk
+/// run) restricts the output to those columns: eigenvalues/eigenvectors
+/// carry only the selected pairs, still sorted by eigenvalue ascending.
+/// With leading covering every column the result is bit-identical to the
+/// unrestricted assembly -- the selection is sorted ascending first, so the
+/// extraction sort starts from the same permutation the full path uses.
+EigenPairs assemble_result(std::vector<ColumnBlock> blocks, std::size_t m,
+                           const std::vector<std::size_t>& leading = {});
 
 /// SVD counterpart of assemble_result: reassembles the final (B, V) pair of
 /// a task=svd run -- B is rows x cols, V is cols x cols -- and extracts
 /// (sigma, U, V) through la::svd_from_bv, so every backend collecting the
 /// same blocks produces bit-identical results. Blocks must jointly cover
-/// all @p cols columns.
+/// all @p cols columns. Only the factorization is filled; the counters of
+/// la::SvdResult stay zero (they come from the EngineResult).
 /// @p leading as in assemble_result: a non-empty selection yields the
 /// truncated factorization (sigma, U, V restricted to those columns,
 /// sigma-descending with the same index tie-break la::svd_from_bv uses);
 /// a selection covering every column routes through la::svd_from_bv
 /// itself and is bit-identical to the unrestricted assembly.
-SvdSolveResult assemble_svd_result(std::vector<ColumnBlock> blocks, std::size_t rows,
-                                   std::size_t cols, int sweeps, bool converged,
-                                   std::size_t rotations,
-                                   const std::vector<std::size_t>& leading = {});
+la::SvdResult assemble_svd_result(std::vector<ColumnBlock> blocks, std::size_t rows,
+                                  std::size_t cols,
+                                  const std::vector<std::size_t>& leading = {});
+
+/// What one mpi_lite run leaves for assembly.
+struct MpiRun {
+  std::vector<ColumnBlock> blocks;  ///< rank 0's full final block set
+  EngineResult engine;              ///< identical on every rank
+  net::CommStats comm;              ///< traffic of the run
+};
+
+/// Spins up a 2^d-rank mpi_lite universe and runs the sweep engine over one
+/// MpiLiteTransport endpoint per rank (each wrapped in the fault decorator
+/// when opts.faults is enabled). @p q as in MpiLiteTransport: 0 = full-block
+/// exchanges, q >= 1 = packetized pipelined exchange phases. Throws
+/// SolveInterrupted when the run stops before finishing (no blocks are
+/// collected then).
+MpiRun run_mpi(const la::Matrix& a, const ord::JacobiOrdering& ordering,
+               const SolveOptions& opts, std::uint64_t q);
 
 }  // namespace jmh::solve

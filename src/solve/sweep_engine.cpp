@@ -41,8 +41,6 @@ RunStatus cancel_status(const common::CancelToken& token) {
 
 EngineResult run_sweep_protocol(Transport& transport, const ord::JacobiOrdering& ordering,
                                 const SolveOptions& opts) {
-  JMH_REQUIRE(!opts.gershgorin_shift,
-              "gershgorin_shift must be unwrapped by the solve_* entry points");
   JMH_REQUIRE(ordering.dimension() == transport.dimension(),
               "ordering/transport dimension mismatch");
   JMH_REQUIRE(opts.topk >= 0, "topk must be non-negative");

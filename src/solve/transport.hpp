@@ -111,12 +111,6 @@ struct SolveOptions {
   StopRule stop_rule = StopRule::NoRotations;
   double off_tol = 1e-8;  ///< used by StopRule::OffDiagonal[Absolute]
 
-  /// Solve A + sigma*I (sigma = Gershgorin radius) and shift the spectrum
-  /// back. Makes the working matrix positive semidefinite, which removes
-  /// the one-sided method's +/-lambda tie ambiguity (la/shift.hpp) at the
-  /// cost of squaring its condition-dependent convergence constant.
-  bool gershgorin_shift = false;
-
   /// Truncated mode: > 0 stops the protocol once the leading @p topk
   /// columns -- ranked by ||b_k||^2, i.e. sigma_k^2 for SVD and lambda_k^2
   /// for the eigenproblem -- went one full sweep without being touched by
@@ -126,8 +120,8 @@ struct SolveOptions {
   /// flags are small integer sums), so every backend sees identical
   /// control flow and selects identical leading columns
   /// (EngineResult::leading). 0 = full solve. Requires
-  /// StopRule::NoRotations and no gershgorin_shift (a shifted spectrum
-  /// reorders |lambda|).
+  /// StopRule::NoRotations and an unshifted input (api::SolverSpec rejects
+  /// topk with shift=1: a shifted spectrum reorders |lambda|).
   int topk = 0;
 
   /// Cooperative cancellation handle, polled at sweep boundaries. The

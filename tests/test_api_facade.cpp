@@ -1,7 +1,7 @@
 // The api facade: SolverSpec round-tripping, plan compilation (including
 // the optimizer-backed Auto pipelining policy), plan reuse across matrices
-// and backends against the legacy entry points, batching, and thread
-// shareability of one immutable plan.
+// and backends against one-shot plans, batching, and thread shareability
+// of one immutable plan.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,9 +13,6 @@
 #include "la/sym_gen.hpp"
 #include "pipe/cost_model.hpp"
 #include "pipe/optimizer.hpp"
-#include "solve/parallel_jacobi.hpp"
-#include "solve/pipelined_executor.hpp"
-#include "solve/sim_transport.hpp"
 
 namespace jmh::api {
 namespace {
@@ -395,13 +392,10 @@ TEST(SolverPlan, SolveRejectsWrongOrder) {
 }
 
 // One plan, several distinct matrices, every backend: results must be
-// bit-for-bit identical to the legacy free functions (which now route
-// through one-shot plans -- the point is that REUSING a plan changes
-// nothing about the numerics).
-TEST(SolverPlan, ReuseAcrossMatricesMatchesLegacyBitForBit) {
+// bit-for-bit identical to a fresh one-shot plan per matrix -- REUSING a
+// plan changes nothing about the numerics, the traffic or the model.
+TEST(SolverPlan, ReusedPlanMatchesOneShotPlanBitForBit) {
   const std::size_t m = 16;
-  const ord::JacobiOrdering ordering(ord::OrderingKind::Degree4, 2);
-
   SolverSpec base = SolverSpec::parse("ordering=d4,m=16,d=2");
   SolverSpec mpi = base;
   mpi.backend = Backend::MpiLite;
@@ -414,9 +408,9 @@ TEST(SolverPlan, ReuseAcrossMatricesMatchesLegacyBitForBit) {
 
   for (std::uint64_t seed : {11u, 22u, 33u}) {
     const la::Matrix a = test_matrix(m, seed);
-    const solve::DistributedResult ref_inline = solve::solve_inline(a, ordering);
-    const solve::DistributedResult ref_mpi = solve::solve_mpi(a, ordering);
-    const solve::SimSolveResult ref_sim = solve::solve_sim(a, ordering);
+    const SolveReport ref_inline = Solver::plan(base).solve(a);
+    const SolveReport ref_mpi = Solver::plan(mpi).solve(a);
+    const SolveReport ref_sim = Solver::plan(sim).solve(a);
 
     const SolveReport r_inline = inline_plan.solve(a);
     const SolveReport r_mpi = mpi_plan.solve(a);
@@ -498,24 +492,26 @@ TEST(SolverPlan, AutoPicksOptimizerQ) {
   EXPECT_DOUBLE_EQ(plan.planned_sweep_comm_cost(), best_cost);
 }
 
-// solve_mpi_pipelined's q == 0 auto mode uses the same optimizer degree:
-// its message counters must match an explicit run at the optimizer's q.
-TEST(SolverPlan, LegacyPipelinedAutoUsesOptimizer) {
+// An mpi plan at pipeline=auto runs at the optimizer's degree: its message
+// counters must match an explicit pipeline=<q> run at that q.
+TEST(SolverPlan, PipelinedAutoRunsAtOptimizerQ) {
   const la::Matrix a = test_matrix(64, 5);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::Degree4, 2);
-
-  solve::PipelinedSolveOptions auto_opts;  // q = 0 -> auto
-  const solve::DistributedResult auto_r = solve::solve_mpi_pipelined(a, ordering, auto_opts);
+  const SolverSpec auto_spec = SolverSpec::parse("backend=mpi,ordering=d4,m=64,d=2,pipeline=auto");
+  const SolveReport auto_r = Solver::plan(auto_spec).solve(a);
 
   pipe::ProblemParams prob64;
   prob64.d = 2;
   prob64.m = 64.0;
-  const pipe::OptimalQ best = pipe::find_optimal_sweep_q(ordering, prob64, auto_opts.machine, 8);
-  solve::PipelinedSolveOptions fixed_opts;
-  fixed_opts.q = best.q;
-  const solve::DistributedResult fixed_r = solve::solve_mpi_pipelined(a, ordering, fixed_opts);
+  const pipe::OptimalQ best = pipe::find_optimal_sweep_q(
+      ord::JacobiOrdering(ord::OrderingKind::Degree4, 2), prob64, auto_spec.machine, 8);
+  const SolveReport fixed_r =
+      Solver::plan(SolverSpec::parse("backend=mpi,ordering=d4,m=64,d=2,pipeline=" +
+                                     std::to_string(best.q)))
+          .solve(a);
 
   ASSERT_TRUE(auto_r.converged && fixed_r.converged);
+  EXPECT_EQ(auto_r.pipelining_q, best.q);
+  EXPECT_EQ(fixed_r.pipelining_q, best.q);
   EXPECT_EQ(auto_r.sweeps, fixed_r.sweeps);
   EXPECT_EQ(auto_r.comm.messages, fixed_r.comm.messages);
   EXPECT_EQ(auto_r.comm.elements, fixed_r.comm.elements);
@@ -535,18 +531,6 @@ TEST(SolverPlan, AutoSimPipeliningKeepsNumerics) {
   EXPECT_GT(piped.modeled_time, 0.0);
   // Pipelining at the optimal degree cannot cost more than unpipelined.
   EXPECT_LE(piped.modeled_time - piped.vote_time, plain.modeled_time - plain.vote_time);
-}
-
-TEST(SolverPlan, GershgorinShiftMatchesLegacy) {
-  const la::Matrix a = test_matrix(16, 99);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::BR, 2);
-  solve::SolveOptions opts;
-  opts.gershgorin_shift = true;
-  const solve::DistributedResult ref = solve::solve_inline(a, ordering, opts);
-
-  const SolveReport r = Solver::solve(SolverSpec::parse("ordering=br,m=16,d=2,shift=1"), a);
-  ASSERT_TRUE(r.converged);
-  EXPECT_EQ(r.eigenvalues, ref.eigenvalues);
 }
 
 TEST(SolverPlan, SolveBatchMatchesIndividualSolves) {

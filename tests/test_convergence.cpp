@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "api/solver.hpp"
+#include "common/rng.hpp"
+#include "la/sym_gen.hpp"
+
 namespace jmh::solve {
 namespace {
 
@@ -17,6 +21,28 @@ TEST(Convergence, CellConverges) {
   EXPECT_EQ(cell.p, 4);
   EXPECT_GT(cell.mean_sweeps, 2.0);
   EXPECT_LT(cell.mean_sweeps, 12.0);
+}
+
+// The cell runs the sweep engine directly on the inline substrate; the
+// facade with the same knobs must report the same sweeps on the same
+// seeded matrices.
+TEST(Convergence, CellMatchesFacadeSolves) {
+  ConvergenceConfig cfg;
+  cfg.repetitions = 3;
+  const ConvergenceCell cell = convergence_cell(16, 4, ord::OrderingKind::BR, cfg);
+
+  const api::SolvePlan plan = api::Solver::plan(api::SolverSpec::parse(
+      "ordering=br,m=16,d=2,stop=offdiag,threshold=1e-12,off_tol=1e-6,max_sweeps=60"));
+  double total = 0.0;
+  for (int rep = 0; rep < cfg.repetitions; ++rep) {
+    // The cell's matrix stream: a function of (seed, m, rep) only.
+    Xoshiro256 rng(cfg.seed ^ (std::uint64_t{16} << 32) ^ static_cast<std::uint64_t>(rep));
+    const api::SolveReport r = plan.solve(la::random_uniform_symmetric(16, rng));
+    ASSERT_TRUE(r.converged) << "rep " << rep;
+    total += static_cast<double>(r.sweeps);
+  }
+  EXPECT_EQ(cell.repetitions, cfg.repetitions);
+  EXPECT_DOUBLE_EQ(cell.mean_sweeps, total / cfg.repetitions);
 }
 
 TEST(Convergence, DeterministicAcrossCalls) {

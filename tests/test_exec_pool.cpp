@@ -269,10 +269,8 @@ TEST(ExecPool, StressNestedGroupsAndGangs) {
   }
 }
 
-TEST(ExecPool, GlobalPoolExistsAndEnabledByDefault) {
-  // The global pool is created on first use; JMH_EXEC_POOL=off would
-  // disable it, but the test binary runs with the default environment.
-  if (!ThreadPool::enabled()) GTEST_SKIP() << "JMH_EXEC_POOL=off in this environment";
+TEST(ExecPool, GlobalPoolExistsAndRunsTasks) {
+  // The global pool is created on first use and is the only execution mode.
   ThreadPool& pool = ThreadPool::global();
   EXPECT_GE(pool.workers(), 1u);
   std::atomic<int> ran{0};

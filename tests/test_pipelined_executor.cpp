@@ -1,16 +1,38 @@
-#include "solve/pipelined_executor.hpp"
+// The pipelined exchange-phase path of MpiLiteTransport (column-block
+// packetization, and mpi solves at pipeline=<q>|auto through api::SolvePlan).
+#include "solve/mpi_transport.hpp"
 
 #include <gtest/gtest.h>
 
+#include "api/solver.hpp"
 #include "la/eigen_check.hpp"
 #include "la/sym_gen.hpp"
 
 namespace jmh::solve {
 namespace {
 
+using api::SolveReport;
+
 la::Matrix test_matrix(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   return la::random_uniform_symmetric(n, rng);
+}
+
+/// Spec of an m = a.cols() solve on a d-cube (inline, unpipelined).
+api::SolverSpec spec_for(const la::Matrix& a, ord::OrderingKind kind, int d) {
+  api::SolverSpec spec;
+  spec.ordering = kind;
+  spec.m = a.cols();
+  spec.d = d;
+  return spec;
+}
+
+/// The same spec on backend=mpi with pipeline=<q> (q == 0: pipeline=auto).
+api::SolverSpec pipelined(api::SolverSpec spec, std::uint64_t q) {
+  spec.backend = api::Backend::MpiLite;
+  spec.pipelining = q == 0 ? api::PipeliningPolicy::Auto : api::PipeliningPolicy::Fixed;
+  if (q > 0) spec.q = q;
+  return spec;
 }
 
 TEST(ColumnBlockSplit, EvenSplit) {
@@ -70,12 +92,9 @@ class PipelinedSolverTest : public ::testing::TestWithParam<PipelinedCase> {};
 TEST_P(PipelinedSolverTest, MatchesUnpipelinedSolve) {
   const auto [kind, d, m, q] = GetParam();
   const la::Matrix a = test_matrix(m, 100 + m + q);
-  const ord::JacobiOrdering ordering(kind, d);
-
-  PipelinedSolveOptions opts;
-  opts.q = q;
-  const DistributedResult pip = solve_mpi_pipelined(a, ordering, opts);
-  const DistributedResult ref = solve_inline(a, ordering);
+  const api::SolverSpec spec = spec_for(a, kind, d);
+  const SolveReport pip = api::Solver::plan(pipelined(spec, q)).solve(a);
+  const SolveReport ref = api::Solver::plan(spec).solve(a);
 
   ASSERT_TRUE(pip.converged);
   // Rotation order differs between executors (packet-major vs row-major),
@@ -108,8 +127,8 @@ INSTANTIATE_TEST_SUITE_P(Grid, PipelinedSolverTest, ::testing::ValuesIn(pipeline
 
 TEST(PipelinedSolver, AutoQ) {
   const la::Matrix a = test_matrix(32, 7);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::Degree4, 2);
-  const DistributedResult r = solve_mpi_pipelined(a, ordering);  // q = 0 -> auto
+  const SolveReport r =
+      api::Solver::plan(pipelined(spec_for(a, ord::OrderingKind::Degree4, 2), 0)).solve(a);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(la::eigenpair_residual(a, r.eigenvalues, r.eigenvectors), 1e-9);
 }
@@ -117,10 +136,9 @@ TEST(PipelinedSolver, AutoQ) {
 TEST(PipelinedSolver, QLargerThanBlock) {
   // Degenerate empty packets must not break anything.
   const la::Matrix a = test_matrix(16, 9);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::BR, 2);
-  PipelinedSolveOptions opts;
-  opts.q = 7;  // blocks have 2 columns
-  const DistributedResult r = solve_mpi_pipelined(a, ordering, opts);
+  // q = 7 while blocks have 2 columns.
+  const SolveReport r =
+      api::Solver::plan(pipelined(spec_for(a, ord::OrderingKind::BR, 2), 7)).solve(a);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(la::eigenpair_residual(a, r.eigenvalues, r.eigenvectors), 1e-9);
 }
@@ -129,13 +147,9 @@ TEST(PipelinedSolver, MoreMessagesSmallerEach) {
   // Pipelining with q packets multiplies message count without changing
   // (column) volume.
   const la::Matrix a = test_matrix(32, 11);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::Degree4, 2);
-  PipelinedSolveOptions q1;
-  q1.q = 1;
-  PipelinedSolveOptions q4;
-  q4.q = 4;
-  const auto r1 = solve_mpi_pipelined(a, ordering, q1);
-  const auto r4 = solve_mpi_pipelined(a, ordering, q4);
+  const api::SolverSpec spec = spec_for(a, ord::OrderingKind::Degree4, 2);
+  const SolveReport r1 = api::Solver::plan(pipelined(spec, 1)).solve(a);
+  const SolveReport r4 = api::Solver::plan(pipelined(spec, 4)).solve(a);
   ASSERT_TRUE(r1.converged && r4.converged);
   EXPECT_GT(r4.comm.messages, 2 * r1.comm.messages);
   // Column payload volume is identical; only per-packet headers differ.
@@ -148,11 +162,9 @@ TEST(PipelinedSolver, WithGershgorinShift) {
   Xoshiro256 rng(91);
   const std::vector<double> spectrum = {-5.0, -2.0, 2.0, 3.0, 5.0, 6.0, 8.0, 11.0};
   const la::Matrix a = la::symmetric_with_spectrum(spectrum, rng);
-  const ord::JacobiOrdering ordering(ord::OrderingKind::PermutedBR, 1);
-  PipelinedSolveOptions opts;
-  opts.gershgorin_shift = true;
-  opts.q = 2;
-  const auto r = solve_mpi_pipelined(a, ordering, opts);
+  api::SolverSpec spec = pipelined(spec_for(a, ord::OrderingKind::PermutedBR, 1), 2);
+  spec.gershgorin_shift = true;
+  const SolveReport r = api::Solver::plan(spec).solve(a);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(la::spectrum_distance(r.eigenvalues, spectrum), 1e-8);
 }

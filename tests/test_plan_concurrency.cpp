@@ -1,7 +1,7 @@
 // One shared immutable SolvePlan used from many threads at once, on every
 // backend: results must be bit-identical to a single-threaded run -- the
 // thread-shareability contract the svc worker pool is built on. Also covers
-// the parallel solve_batch rerouting (svc::solve_batch_parallel).
+// SolvePlan::solve_batch, which runs a batch on the shared exec::ThreadPool.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,7 +10,6 @@
 
 #include "api/solver.hpp"
 #include "la/sym_gen.hpp"
-#include "svc/service.hpp"
 
 namespace jmh::api {
 namespace {
@@ -87,28 +86,24 @@ TEST(PlanConcurrency, SimBackend) {
   run_concurrency_case("backend=sim,ordering=pbr,m=16,d=2,pipeline=auto");
 }
 
-// solve_batch now routes through the svc pool: the parallel result must be
-// indistinguishable from the sequential loop it replaced.
+// solve_batch runs on the shared pool: the parallel result must be
+// indistinguishable from a sequential loop, on a single-owner backend and
+// on mpi (whose rank gangs then start from inside pool tasks).
 TEST(PlanConcurrency, ParallelSolveBatchMatchesSequential) {
-  const SolvePlan plan = Solver::plan(SolverSpec::parse("ordering=d4,m=16,d=2"));
-  std::vector<la::Matrix> batch;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) batch.push_back(test_matrix(seed));
+  for (const std::string spec_text :
+       {"ordering=d4,m=16,d=2", "backend=mpi,ordering=d4,m=16,d=2"}) {
+    const SolvePlan plan = Solver::plan(SolverSpec::parse(spec_text));
+    std::vector<la::Matrix> batch;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) batch.push_back(test_matrix(seed));
 
-  std::vector<SolveReport> sequential;
-  for (const la::Matrix& a : batch) sequential.push_back(plan.solve(a));
+    std::vector<SolveReport> sequential;
+    for (const la::Matrix& a : batch) sequential.push_back(plan.solve(a));
 
-  const std::vector<SolveReport> parallel = plan.solve_batch(batch);
-  ASSERT_EQ(parallel.size(), sequential.size());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    expect_bit_identical(parallel[i], sequential[i], "batch index " + std::to_string(i));
-
-  // Explicit pool sizes agree too (1 = the sequential path itself).
-  for (std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
-    const std::vector<SolveReport> pooled = svc::solve_batch_parallel(plan, batch, workers);
+    const std::vector<SolveReport> parallel = plan.solve_batch(batch);
+    ASSERT_EQ(parallel.size(), sequential.size());
     for (std::size_t i = 0; i < batch.size(); ++i)
-      expect_bit_identical(pooled[i], sequential[i],
-                           "workers=" + std::to_string(workers) + " index " +
-                               std::to_string(i));
+      expect_bit_identical(parallel[i], sequential[i],
+                           spec_text + " batch index " + std::to_string(i));
   }
 }
 
@@ -117,8 +112,30 @@ TEST(PlanConcurrency, ParallelSolveBatchPropagatesErrors) {
   std::vector<la::Matrix> batch;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) batch.push_back(test_matrix(seed));
   batch.push_back(la::Matrix(12, 12));  // wrong order: plan.solve throws
-  EXPECT_THROW(svc::solve_batch_parallel(plan, batch, 3), std::invalid_argument);
-  EXPECT_TRUE(svc::solve_batch_parallel(plan, {}, 3).empty());
+  EXPECT_THROW(plan.solve_batch(batch), std::invalid_argument);
+  EXPECT_TRUE(plan.solve_batch({}).empty());
+}
+
+// Two failing inputs: the error rethrown is always the LOWEST-INDEX one,
+// however the pool interleaves the solves and whichever fails first in
+// wall-clock.
+TEST(PlanConcurrency, SolveBatchRethrowsLowestIndexError) {
+  const SolvePlan plan = Solver::plan(SolverSpec::parse("ordering=d4,m=16,d=2"));
+  std::vector<la::Matrix> batch;
+  batch.push_back(test_matrix(1));
+  batch.push_back(la::Matrix(12, 16));  // index 1: not square
+  batch.push_back(test_matrix(2));
+  batch.push_back(la::Matrix(12, 12));  // index 3: square, wrong order
+  batch.push_back(test_matrix(3));
+  for (int round = 0; round < 20; ++round) {
+    try {
+      plan.solve_batch(batch);
+      ADD_FAILURE() << "round " << round << ": solve_batch did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("needs a square matrix"), std::string::npos)
+          << "round " << round << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

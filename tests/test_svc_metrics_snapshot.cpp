@@ -41,14 +41,20 @@ TEST(MetricsSnapshot, InvariantsHoldUnderConcurrentReads) {
 
   // The reader: snapshot as fast as possible for the whole traffic burst.
   // Under TSan this is the machine check that metrics() tears nothing.
+  // `started` is raised after the reader's first snapshot, and the traffic
+  // waits for it: on a loaded host the short burst could otherwise drain
+  // before the reader thread is ever scheduled.
   std::atomic<bool> stop{false};
+  std::atomic<bool> started{false};
   std::atomic<std::uint64_t> snapshots{0};
   std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
+    do {
       expect_invariants(service.metrics(), "mid-traffic");
       snapshots.fetch_add(1, std::memory_order_relaxed);
-    }
+      started.store(true, std::memory_order_release);
+    } while (!stop.load(std::memory_order_relaxed));
   });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
 
   // Mixed traffic: successes, malformed specs (-> jobs_invalid under
   // jobs_failed), and 1 ms deadlines on real solves (some expire in queue

@@ -5,13 +5,9 @@ Parses every `#include` edge under src/, tests/, bench/ and examples/ and
 fails (exit 1) on:
 
   * an include edge between src/ layers that tools/lint/layers.toml does not
-    permit, unless the exact (file, include) pair is listed as a sanctioned
-    exception with a justification;
-  * an exception header (an .hpp carrying an upward include) included from
-    anywhere but implementation files of its own layer -- the property that
-    keeps the sanctioned back edges out of the include graph;
-  * a stale exception entry (the pair no longer exists -- keeps the
-    manifest from accumulating dead grants);
+    permit (there are no per-file exceptions: a manifest carrying an
+    [[exception]] table is rejected as a bad manifest, so an old grant can
+    never be silently ignored);
   * a src/ file including from tests/, bench/ or examples/;
   * a relative (`"../"` or `"./"`) or non-layer-qualified project include;
   * an .hpp under src/ or bench/ without `#pragma once`;
@@ -37,34 +33,37 @@ PROJECT_INCLUDE_RE = re.compile(r"^[a-z0-9_]+/[a-z0-9_]+\.hpp$")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 
 
+def bad_manifest(message: str):
+    """Exits with the documented bad-manifest code (sys.exit(str) exits 1,
+    which would read as an ordinary violation)."""
+    print(f"check_layers: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def parse_manifest(path: Path):
     try:
         with open(path, "rb") as f:
             doc = tomllib.load(f)
     except (OSError, tomllib.TOMLDecodeError) as e:
-        sys.exit(f"check_layers: cannot read manifest {path}: {e}")
+        bad_manifest(f"cannot read manifest {path}: {e}")
 
     layers = {}
     for name, entry in doc.get("layers", {}).items():
         deps = entry.get("deps")
         if not isinstance(deps, list):
-            sys.exit(f"check_layers: [layers.{name}] needs a 'deps' list")
+            bad_manifest(f"[layers.{name}] needs a 'deps' list")
         layers[name] = set(deps)
     for name, deps in layers.items():
         for dep in deps:
             if dep not in layers:
-                sys.exit(f"check_layers: [layers.{name}] depends on unknown layer '{dep}'")
+                bad_manifest(f"[layers.{name}] depends on unknown layer '{dep}'")
+
+    if "exception" in doc:
+        bad_manifest(f"{path} has an [[exception]] table; upward include "
+                     f"exceptions are not supported -- remove the upward include instead")
 
     toplevel = set(doc.get("toplevel", {}).get("dirs", []))
-
-    exceptions = {}
-    for entry in doc.get("exception", []):
-        for key in ("file", "include", "justification"):
-            if not entry.get(key) or not str(entry[key]).strip():
-                sys.exit("check_layers: every [[exception]] needs non-empty "
-                         "'file', 'include' and 'justification'")
-        exceptions[(entry["file"], entry["include"])] = entry["justification"]
-    return layers, toplevel, exceptions
+    return layers, toplevel
 
 
 def scan_includes(path: Path):
@@ -97,13 +96,9 @@ def main():
 
     root = args.root.resolve()
     manifest = args.manifest or root / "tools" / "lint" / "layers.toml"
-    layers, toplevel, exceptions = parse_manifest(manifest)
+    layers, toplevel = parse_manifest(manifest)
 
     violations = []
-    used_exceptions = set()
-    # Headers granted an upward include: collect them now so the impl-only
-    # property can be enforced while walking the tree.
-    exception_headers = {f for (f, _inc) in exceptions if f.endswith(".hpp")}
 
     files = []
     for d in SCAN_DIRS:
@@ -159,34 +154,11 @@ def main():
                     f"in {manifest.name}")
                 continue
 
-            # src -> src edge: must be same-layer, permitted, or excepted.
-            if target_layer == layer or target_layer in layers[layer]:
-                pass
-            elif (rel, inc) in exceptions:
-                used_exceptions.add((rel, inc))
-            else:
+            # src -> src edge: must be same-layer or permitted.
+            if target_layer != layer and target_layer not in layers[layer]:
                 violations.append(
                     f"{rel}:{lineno}: layer '{layer}' may not include \"{inc}\" "
-                    f"(allowed: {', '.join(sorted(layers[layer])) or 'nothing'}; "
-                    f"upward edges need an [[exception]] entry with a justification)")
-
-            # Impl-only rule for exception headers: only .cpp files of the
-            # header's own layer may include it.
-            if inc in {f"{Path(f).parent.name}/{Path(f).name}" for f in exception_headers}:
-                owner_layer = Path(inc).parts[0]
-                if path.suffix != ".cpp" or layer != owner_layer:
-                    violations.append(
-                        f"{rel}:{lineno}: \"{inc}\" carries a sanctioned upward include "
-                        f"and may only be included from {owner_layer}/*.cpp")
-
-    for (f, inc) in sorted(set(exceptions) - used_exceptions):
-        src_file = root / f
-        if not src_file.is_file():
-            violations.append(f"{f}:1: stale [[exception]]: file no longer exists")
-        else:
-            violations.append(
-                f"{f}:1: stale [[exception]]: no longer includes \"{inc}\" -- "
-                f"remove the manifest entry")
+                    f"(allowed: {', '.join(sorted(layers[layer])) or 'nothing'})")
 
     if violations:
         for v in violations:
