@@ -8,6 +8,7 @@
 #include "api/solver.hpp"
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
+#include "exec/thread_pool.hpp"
 #include "la/kernels.hpp"
 #include "la/rotation.hpp"
 #include "la/sym_gen.hpp"
@@ -22,6 +23,7 @@
 #include "pipe/optimizer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/programs.hpp"
+#include "solve/host_machine.hpp"
 #include "solve/jacobi_node.hpp"
 #include "svc/service.hpp"
 
@@ -455,3 +457,17 @@ void BM_SequentialCyclicSolve(benchmark::State& state) {
 BENCHMARK(BM_SequentialCyclicSolve)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 
 }  // namespace
+
+int main(int argc, char** argv) {
+  // Pay the once-per-process start-up before the first timed case: the
+  // exec pool's worker threads and the mpi-lite host calibration that
+  // pipeline=auto plans with. Otherwise the first mpi case (BM_MpiSolve/16)
+  // times them.
+  jmh::exec::ThreadPool::global();
+  jmh::solve::host_calibration();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

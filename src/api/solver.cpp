@@ -12,6 +12,7 @@
 #include "obs/trace.hpp"
 #include "pipe/optimizer.hpp"
 #include "solve/fault_injection.hpp"
+#include "solve/host_machine.hpp"
 #include "solve/inline_transport.hpp"
 #include "solve/parallel_jacobi.hpp"
 #include "solve/sim_transport.hpp"
@@ -41,7 +42,8 @@ SolvePlan::SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering, std::uint64_
       ordering_(std::move(ordering)),
       // The blocks partition what the CORE solves: min(rows, m) columns (a
       // wide svd/pca input runs as its transpose).
-      layout_(adapter_->core_geometry(spec).cols, spec.d) {
+      layout_(adapter_->core_geometry(spec).cols, spec.d),
+      machine_(spec.machine) {
   JMH_REQUIRE(ordering_.dimension() == spec_.d, "ordering dimension must match spec.d");
   JMH_REQUIRE(ordering_.kind() == spec_.ordering, "ordering kind must match spec.ordering");
   // threads= is an execution knob, not part of the numerical scenario:
@@ -70,8 +72,10 @@ SolvePlan::SolvePlan(SolverSpec spec, ord::JacobiOrdering ordering, std::uint64_
       prob.d = spec_.d;
       prob.m = static_cast<double>(geo.cols);
       prob.rows = geo.rows == geo.cols ? 0.0 : static_cast<double>(geo.rows);
-      const pipe::OptimalQ best =
-          pipe::find_optimal_sweep_q(ordering_, prob, spec_.machine, q_max);
+      // Real threads plan against the measured host; the simulator (and
+      // the inline backend, which ignores q) against the spec's machine.
+      if (spec_.backend == Backend::MpiLite) machine_ = solve::host_calibration().machine;
+      const pipe::OptimalQ best = pipe::find_optimal_sweep_q(ordering_, prob, machine_, q_max);
       q_ = best.q;
       planned_cost_ = best.cost;
       break;

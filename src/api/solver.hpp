@@ -16,7 +16,15 @@
 //
 // This is the only way to run a solve: every backend (inline, mpi, sim) and
 // every task goes through SolvePlan::solve, and every solve returns one
-// SolveReport. The solve/ layer underneath exposes only the pieces a plan
+// SolveReport.
+//
+// Choosing a backend: below a crossover size the mpi backend's message
+// startups and votes cost more than its parallel sweeps save, and
+// backend=inline is as fast or faster. On a 4-vCPU x86 host (PERF.md,
+// "Measured host machine") mpi with pipeline=auto matched inline at m = 32
+// and won from m = 48 on d = 2 (2.1x at 48, 3.3x at 256); on d = 1 inline
+// was faster up to m = 96 and mpi won from m = 128. Use inline for
+// m <= 32 at d = 2 and m <= 96 at d = 1. The solve/ layer underneath exposes only the pieces a plan
 // composes (transports, the sweep engine, block assembly).
 #pragma once
 
@@ -56,8 +64,17 @@ class SolvePlan {
   /// the pipe::find_optimal_sweep_q degree for Auto.
   std::uint64_t pipelining_q() const noexcept { return q_; }
 
+  /// The machine pipeline=auto planned against. For backend=mpi it is
+  /// this host's measured mpi-lite machine (solve::host_calibration, ts/tw
+  /// in ns); for sim and inline it is spec().machine, which also stands
+  /// for plans that are not Auto (they consult no machine). Replaying an
+  /// Auto run: pipe::find_optimal_sweep_q under machine() gives
+  /// pipelining_q(), and pipeline=<that q> reruns it exactly.
+  const pipe::MachineParams& machine() const noexcept { return machine_; }
+
   /// For Auto: the optimizer's modeled per-sweep exchange communication
-  /// time at pipelining_q() under spec().machine; 0 otherwise.
+  /// time at pipelining_q() under machine() -- host ns for backend=mpi,
+  /// the simulated machine's units otherwise; 0 for other policies.
   double planned_sweep_comm_cost() const noexcept { return planned_cost_; }
 
   /// Runs the solve on spec().backend through the Transport machinery,
@@ -101,6 +118,7 @@ class SolvePlan {
   const TaskAdapter* adapter_;
   ord::JacobiOrdering ordering_;
   solve::BlockLayout layout_;
+  pipe::MachineParams machine_;
   std::uint64_t q_ = 0;
   double planned_cost_ = 0.0;
   /// Wall time of Solver::plan (ordering build, validation, compile),

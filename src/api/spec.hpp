@@ -28,7 +28,10 @@
 //   d=<n>                      hypercube dimension (default 2)
 //   pipeline=off|auto|<q>      exchange-phase packetization (default off);
 //                              auto = pipe::find_optimal_sweep_q
-//   ts=<f> tw=<f> ports=all|<n>   machine model (Sim charging + Auto choice)
+//   ts=<f> tw=<f> ports=all|<n>   the simulated machine: Sim charging and
+//                              the Auto choice on sim (and inline); Auto on
+//                              backend=mpi plans against the measured host
+//                              (solve::host_calibration, SolvePlan::machine)
 //   overlap=0|1                sim overlapped-startup hardware (default 0)
 //   threshold=<f>              rotation threshold
 //   max_sweeps=<n>             sweep cap (default 60)
@@ -140,7 +143,9 @@ struct SolverSpec {
   Backend backend = Backend::Inline;
   PipeliningPolicy pipelining = PipeliningPolicy::Off;
   std::uint64_t q = 1;          ///< packets per block (Fixed policy only)
-  pipe::MachineParams machine;  ///< Sim charging and Auto optimization
+  /// The simulated machine: Sim charging and the sim/inline Auto choice
+  /// (mpi Auto uses the measured host -- SolvePlan::machine).
+  pipe::MachineParams machine;
   bool overlap_startup = false; ///< sim::SimConfig::overlap_startup
   double threshold = la::kDefaultThreshold;
   int max_sweeps = 60;

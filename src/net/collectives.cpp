@@ -91,20 +91,19 @@ bool allreduce_and(Comm& comm, bool value) {
          }) > 0.5;
 }
 
-std::vector<double> allgatherv(Comm& comm, std::span<const double> local) {
-  // Root-relay allgather: simple and obviously correct; only used for final
-  // result collection, never on the measured path.
-  if (comm.rank() == 0) {
-    std::vector<std::vector<double>> parts(static_cast<std::size_t>(comm.size()));
-    parts[0].assign(local.begin(), local.end());
-    for (int r = 1; r < comm.size(); ++r) parts[static_cast<std::size_t>(r)] = comm.recv(r, kTagGather);
-    std::vector<double> all;
-    for (const auto& p : parts) all.insert(all.end(), p.begin(), p.end());
-    for (int r = 1; r < comm.size(); ++r) comm.send(r, kTagGather + 1, all);
-    return all;
+std::vector<double> gatherv(Comm& comm, std::span<const double> local) {
+  // Direct sends to rank 0: only used for final result collection, never
+  // on the measured sweep path.
+  if (comm.rank() != 0) {
+    comm.send(0, kTagGather, local);
+    return {};
   }
-  comm.send(0, kTagGather, local);
-  return comm.recv(0, kTagGather + 1);
+  std::vector<double> all(local.begin(), local.end());
+  for (int r = 1; r < comm.size(); ++r) {
+    const Payload part = comm.recv(r, kTagGather);
+    all.insert(all.end(), part.begin(), part.end());
+  }
+  return all;
 }
 
 std::vector<double> broadcast(Comm& comm, int root, std::span<const double> data) {

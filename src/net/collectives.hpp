@@ -1,8 +1,8 @@
 // Collective operations over a Universe's ranks.
 //
-// allreduce/allgather use the recursive-doubling (hypercube butterfly)
-// algorithm when the rank count is a power of two -- the natural pattern on
-// the paper's target topology -- and fall back to a root-relay otherwise.
+// allreduce uses the recursive-doubling (hypercube butterfly) algorithm
+// when the rank count is a power of two -- the natural pattern on the
+// paper's target topology -- and falls back to a root-relay otherwise.
 #pragma once
 
 #include <span>
@@ -32,9 +32,10 @@ double allreduce_max(Comm& comm, double value);
 /// Logical AND across ranks (encoded as 0.0/1.0 doubles internally).
 bool allreduce_and(Comm& comm, bool value);
 
-/// Concatenation of every rank's vector in rank order, returned on every
-/// rank. All ranks may contribute different lengths.
-std::vector<double> allgatherv(Comm& comm, std::span<const double> local);
+/// Concatenation of every rank's vector in rank order, returned on rank 0;
+/// every other rank gets an empty vector. All ranks may contribute
+/// different lengths.
+std::vector<double> gatherv(Comm& comm, std::span<const double> local);
 
 /// Broadcast @p data from @p root to all ranks (returned everywhere).
 std::vector<double> broadcast(Comm& comm, int root, std::span<const double> data);

@@ -74,7 +74,7 @@ struct ColumnBlock {
   static ColumnBlock deserialize(std::span<const double> payload);
   static ColumnBlock deserialize(const net::Payload& payload);
 
-  /// Parses a concatenation of serialized blocks (e.g. an allgatherv of
+  /// Parses a concatenation of serialized blocks (e.g. a gatherv of
   /// per-rank payloads) back into blocks, in order. Each block is parsed
   /// in place from its span of the stream; no per-block payload copies.
   static std::vector<ColumnBlock> deserialize_stream(const net::Payload& payload);

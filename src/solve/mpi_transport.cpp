@@ -59,7 +59,9 @@ SweepStats MpiLiteTransport::run_phase(const PhaseContext& ctx) {
   // paths -- apply_transition full-block exchanges and the pipelined packet
   // loop -- fail loudly in JMH_DASSERT builds if an allocation creeps back.
   const common::AllocGuard phase_guard;
-  SweepStats stats = (q_ == 0 || ctx.phase.type != ord::PhaseInfo::Type::Exchange)
+  // q = 1 moves the whole block in one message per transition: the plain
+  // path sends exactly that, without the split/merge copies.
+  SweepStats stats = (q_ <= 1 || ctx.phase.type != ord::PhaseInfo::Type::Exchange)
                          ? Transport::run_phase(ctx)
                          : run_phase_pipelined(ctx);
   if (ctx.sweep >= 1)
@@ -120,7 +122,8 @@ std::vector<ColumnBlock> MpiLiteTransport::collect_blocks() {
   net::Payload mine = node_.fixed().serialize();
   const net::Payload mobile = node_.mobile().serialize();
   mine.insert(mine.end(), mobile.begin(), mobile.end());
-  return ColumnBlock::deserialize_stream(net::allgatherv(hc_.raw(), mine));
+  // Empty off rank 0, so the other ranks parse nothing.
+  return ColumnBlock::deserialize_stream(net::gatherv(hc_.raw(), mine));
 }
 
 }  // namespace jmh::solve

@@ -1,6 +1,6 @@
 // MpiLiteTransport: one SPMD endpoint per mpi_lite rank. Blocks travel as
 // real messages over the hypercube overlay; the convergence vote is a
-// recursive-doubling allreduce. With q >= 1 the exchange phases run the
+// recursive-doubling allreduce. With q >= 2 the exchange phases run the
 // packetized pipelined path: the mobile block is split into q column
 // packets, and a node pairs an arriving packet against its fixed block and
 // immediately forwards it along the phase's next link, so consecutive
@@ -31,8 +31,9 @@ namespace jmh::solve {
 
 class MpiLiteTransport : public Transport {
  public:
-  /// Endpoint for @p comm's rank. @p q == 0 selects plain full-block
-  /// exchanges; q >= 1 packetizes exchange phases into q packets per block.
+  /// Endpoint for @p comm's rank. @p q <= 1 selects plain full-block
+  /// exchanges (one packet per block is one message per transition);
+  /// q >= 2 packetizes exchange phases into q packets per block.
   MpiLiteTransport(net::Comm& comm, const la::Matrix& a, std::uint64_t q = 0);
 
   int dimension() const override { return hc_.dimension(); }
@@ -45,14 +46,16 @@ class MpiLiteTransport : public Transport {
   std::vector<double> allreduce_sum(std::vector<double> values) override;
   void allreduce_sum(std::span<double> values) override;
 
-  /// Pipelined exchange phases when q >= 1; the base implementation
-  /// otherwise. In JMH_DASSERT builds every phase after the first sweep is
+  /// Pipelined exchange phases when q >= 2; the base implementation
+  /// otherwise (q = 1 sends the same messages as full-block exchanges).
+  /// In JMH_DASSERT builds every phase after the first sweep is
   /// audited to allocate nothing on this endpoint (the scratch arenas must
   /// absorb all serialization, packetization and merging; the mailbox's
   /// wire copy is exempt -- common/alloc_guard.hpp).
   SweepStats run_phase(const PhaseContext& ctx) override;
 
-  /// Allgathers every endpoint's blocks; all ranks return the full set.
+  /// Gathers every endpoint's blocks to rank 0, which returns the full
+  /// set; the other ranks return an empty one.
   std::vector<ColumnBlock> collect_blocks() override;
 
  private:

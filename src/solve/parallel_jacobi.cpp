@@ -148,7 +148,7 @@ MpiRun run_mpi(const la::Matrix& a, const ord::JacobiOrdering& ordering,
       er = run_sweep_protocol(transport, ordering, opts);
     }
     // The status came out of the allreduced vote, so every rank takes the
-    // same branch here: all participate in the collect allgatherv, or none.
+    // same branch here: all participate in the collect gather, or none.
     std::vector<ColumnBlock> blocks;
     if (er.status == RunStatus::Ok) blocks = transport.collect_blocks();
     if (comm.rank() == 0) {

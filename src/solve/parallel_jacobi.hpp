@@ -70,8 +70,8 @@ struct MpiRun {
 
 /// Spins up a 2^d-rank mpi_lite universe and runs the sweep engine over one
 /// MpiLiteTransport endpoint per rank (each wrapped in the fault decorator
-/// when opts.faults is enabled). @p q as in MpiLiteTransport: 0 = full-block
-/// exchanges, q >= 1 = packetized pipelined exchange phases. Throws
+/// when opts.faults is enabled). @p q as in MpiLiteTransport: 0 or 1 =
+/// full-block exchanges, q >= 2 = packetized pipelined exchange phases. Throws
 /// SolveInterrupted when the run stops before finishing (no blocks are
 /// collected then).
 MpiRun run_mpi(const la::Matrix& a, const ord::JacobiOrdering& ordering,

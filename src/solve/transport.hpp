@@ -215,8 +215,10 @@ class Transport {
   /// (SimTransport); overrides must visit exactly the same column pairs.
   virtual SweepStats run_phase(const PhaseContext& ctx);
 
-  /// All 2^{d+1} final blocks, available at every endpoint. Consumes the
-  /// resident blocks; call once, after the protocol finishes.
+  /// All 2^{d+1} final blocks. A single-owner transport returns them all;
+  /// an mpi_lite endpoint gathers them to rank 0 and the other ranks get
+  /// none. Consumes the resident blocks; call once, after the protocol
+  /// finishes.
   virtual std::vector<ColumnBlock> collect_blocks() = 0;
 
   /// Whether this transport's steady-state sweep path (every sweep after

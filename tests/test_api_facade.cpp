@@ -13,6 +13,7 @@
 #include "la/sym_gen.hpp"
 #include "pipe/cost_model.hpp"
 #include "pipe/optimizer.hpp"
+#include "solve/host_machine.hpp"
 
 namespace jmh::api {
 namespace {
@@ -457,19 +458,21 @@ TEST(SolverPlan, BackendsAgreeOnTheSameInput) {
   EXPECT_GT(r_mpi.comm.messages, 0u);
 }
 
-// Auto pipelining picks the pipe::find_optimal_sweep_q degree, and that
-// degree is the true argmin of the summed exchange-phase cost (brute-forced
-// over the full 1..q_max range, which the small case makes exhaustive).
+// Auto pipelining picks the pipe::find_optimal_sweep_q degree under the
+// plan's machine (the measured host on mpi), and that degree is the true
+// argmin of the summed exchange-phase cost (brute-forced over the full
+// 1..q_max range, which the small case makes exhaustive).
 TEST(SolverPlan, AutoPicksOptimizerQ) {
   SolverSpec spec = SolverSpec::parse("backend=mpi,ordering=d4,m=64,d=2,pipeline=auto");
   const SolvePlan plan = Solver::plan(spec);
+  const pipe::MachineParams& machine = plan.machine();
+  EXPECT_EQ(machine, solve::host_calibration().machine);
 
   const std::uint64_t q_max = 64 / 8;  // columns per block
   pipe::ProblemParams prob;
   prob.d = 2;
   prob.m = 64.0;
-  const pipe::OptimalQ best =
-      pipe::find_optimal_sweep_q(plan.ordering(), prob, spec.machine, q_max);
+  const pipe::OptimalQ best = pipe::find_optimal_sweep_q(plan.ordering(), prob, machine, q_max);
   EXPECT_EQ(plan.pipelining_q(), best.q);
   EXPECT_GT(plan.pipelining_q(), 0u);
   EXPECT_DOUBLE_EQ(plan.planned_sweep_comm_cost(), best.cost);
@@ -482,7 +485,7 @@ TEST(SolverPlan, AutoPicksOptimizerQ) {
     double total = 0.0;
     for (int e = plan.ordering().dimension(); e >= 1; --e)
       total += pipe::phase_cost_pipelined(plan.ordering().exchange_sequence(e), q, step_elems,
-                                          spec.machine);
+                                          machine);
     if (best_q == 0 || total < best_cost) {
       best_q = q;
       best_cost = total;
@@ -492,18 +495,35 @@ TEST(SolverPlan, AutoPicksOptimizerQ) {
   EXPECT_DOUBLE_EQ(plan.planned_sweep_comm_cost(), best_cost);
 }
 
-// An mpi plan at pipeline=auto runs at the optimizer's degree: its message
-// counters must match an explicit pipeline=<q> run at that q.
+// The simulator keeps planning against the spec's machine: sim Auto is the
+// paper's model experiment, not this host.
+TEST(SolverPlan, SimAutoPlansWithSpecMachine) {
+  const SolverSpec spec =
+      SolverSpec::parse("backend=sim,ordering=d4,m=64,d=2,pipeline=auto,ts=500,tw=2");
+  const SolvePlan plan = Solver::plan(spec);
+  EXPECT_EQ(plan.machine(), spec.machine);
+  pipe::ProblemParams prob;
+  prob.d = 2;
+  prob.m = 64.0;
+  const pipe::OptimalQ best = pipe::find_optimal_sweep_q(plan.ordering(), prob, spec.machine, 8);
+  EXPECT_EQ(plan.pipelining_q(), best.q);
+  EXPECT_DOUBLE_EQ(plan.planned_sweep_comm_cost(), best.cost);
+}
+
+// An mpi plan at pipeline=auto runs at the optimizer's degree under
+// plan.machine(): its message counters must match an explicit
+// pipeline=<q> run at that q -- the replay the accessor exists for.
 TEST(SolverPlan, PipelinedAutoRunsAtOptimizerQ) {
   const la::Matrix a = test_matrix(64, 5);
   const SolverSpec auto_spec = SolverSpec::parse("backend=mpi,ordering=d4,m=64,d=2,pipeline=auto");
-  const SolveReport auto_r = Solver::plan(auto_spec).solve(a);
+  const SolvePlan auto_plan = Solver::plan(auto_spec);
+  const SolveReport auto_r = auto_plan.solve(a);
 
   pipe::ProblemParams prob64;
   prob64.d = 2;
   prob64.m = 64.0;
   const pipe::OptimalQ best = pipe::find_optimal_sweep_q(
-      ord::JacobiOrdering(ord::OrderingKind::Degree4, 2), prob64, auto_spec.machine, 8);
+      ord::JacobiOrdering(ord::OrderingKind::Degree4, 2), prob64, auto_plan.machine(), 8);
   const SolveReport fixed_r =
       Solver::plan(SolverSpec::parse("backend=mpi,ordering=d4,m=64,d=2,pipeline=" +
                                      std::to_string(best.q)))

@@ -38,26 +38,33 @@ TEST(Collectives, AllreduceAnd) {
   });
 }
 
-TEST(Collectives, AllgathervConcatenatesInRankOrder) {
+TEST(Collectives, GathervConcatenatesInRankOrderOnRankZero) {
   Universe u(4);
   u.run([](Comm& c) {
     // Rank r contributes r+1 copies of r.
     std::vector<double> mine(static_cast<std::size_t>(c.rank() + 1),
                              static_cast<double>(c.rank()));
-    const auto all = allgatherv(c, mine);
+    const auto all = gatherv(c, mine);
+    if (c.rank() != 0) {
+      EXPECT_TRUE(all.empty());
+      return;
+    }
     ASSERT_EQ(all.size(), 10u);  // 1+2+3+4
     std::size_t pos = 0;
     for (int r = 0; r < 4; ++r)
       for (int i = 0; i <= r; ++i) EXPECT_EQ(all[pos++], static_cast<double>(r));
   });
+  // One message per non-root rank: nothing is sent back.
+  EXPECT_EQ(u.stats().messages, 3u);
 }
 
-TEST(Collectives, AllgathervEmptyContributions) {
+TEST(Collectives, GathervEmptyContributions) {
   Universe u(3);
   u.run([](Comm& c) {
     std::vector<double> mine;
     if (c.rank() == 1) mine = {5.0};
-    const auto all = allgatherv(c, mine);
+    const auto all = gatherv(c, mine);
+    if (c.rank() != 0) return;
     ASSERT_EQ(all.size(), 1u);
     EXPECT_EQ(all[0], 5.0);
   });

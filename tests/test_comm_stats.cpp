@@ -73,7 +73,7 @@ TEST(CommStats, DistributedSolveTrafficAccounted) {
   const std::uint64_t sweep_bodies = static_cast<std::uint64_t>(r.sweeps) + 1;
   const std::uint64_t block_msgs = sweep_bodies * 7 * 4;
   // Each sweep also runs 2 allreduces (3 rounds x 4 ranks x 2 values = 24
-  // msgs) and the run ends with one frobenius allreduce + allgather.
+  // msgs) and the run ends with one frobenius allreduce + gather.
   EXPECT_GE(r.comm.messages, block_msgs);
   EXPECT_LE(r.comm.messages, block_msgs + sweep_bodies * 64 + 64);
   // Block payload volume dominates: at least 69 doubles per block message.

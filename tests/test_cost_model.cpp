@@ -232,6 +232,30 @@ TEST(Optimizer, SweepQIsRowsAware) {
   EXPECT_NE(square_best.q, best.q);
 }
 
+// The small mpi problem (m = 32, d = 2: four columns per block) is
+// startup-bound on any machine whose message startup costs 80 or more
+// element transfers -- every mpi-lite host measured so far (PERF.md) --
+// so the sweep optimizer must not split its blocks there; on the paper's
+// figure-2 machine (ts/tw = 10) it pipelines at q = 2.
+TEST(Optimizer, SmallProblemStopsPipeliningOnStartupBoundMachines) {
+  ProblemParams prob;
+  prob.d = 2;
+  prob.m = 32.0;
+  const std::uint64_t q_max = 4;
+  for (const ord::OrderingKind kind :
+       {ord::OrderingKind::BR, ord::OrderingKind::PermutedBR, ord::OrderingKind::Degree4,
+        ord::OrderingKind::MinAlpha}) {
+    const ord::JacobiOrdering ordering(kind, 2);
+    EXPECT_EQ(find_optimal_sweep_q(ordering, prob, paper_machine(), q_max).q, 2u);
+    for (const double tw : {0.25, 1.0, 3.0, 100.0})
+      for (double ratio = 80.0; ratio <= 1e6; ratio *= 1.25) {
+        const MachineParams mach{ratio * tw, tw, MachineParams::kAllPort};
+        EXPECT_EQ(find_optimal_sweep_q(ordering, prob, mach, q_max).q, 1u)
+            << ord::to_string(kind) << " ts/tw = " << ratio << " tw = " << tw;
+      }
+  }
+}
+
 TEST(Optimizer, IdealOptimumAtMostReal) {
   const auto m = paper_machine();
   const auto seq = ord::make_exchange_sequence(ord::OrderingKind::PermutedBR, 6);

@@ -158,6 +158,28 @@ TEST(PipelinedSolver, MoreMessagesSmallerEach) {
   EXPECT_NEAR(vol4 / vol1, 1.0, 0.15);
 }
 
+// One packet per block is one message per transition: pipeline=1 takes the
+// plain full-block path, so it must agree with pipeline=off bit for bit,
+// traffic counters included.
+TEST(PipelinedSolver, SinglePacketMatchesUnpipelinedExactly) {
+  for (const ord::OrderingKind kind : {ord::OrderingKind::Degree4, ord::OrderingKind::MinAlpha}) {
+    for (const int d : {1, 2}) {
+      const la::Matrix a = test_matrix(32, 40 + static_cast<std::uint64_t>(d));
+      api::SolverSpec off = spec_for(a, kind, d);
+      off.backend = api::Backend::MpiLite;
+      const SolveReport r_off = api::Solver::plan(off).solve(a);
+      const SolveReport r_one = api::Solver::plan(pipelined(spec_for(a, kind, d), 1)).solve(a);
+      ASSERT_TRUE(r_off.converged && r_one.converged);
+      EXPECT_EQ(r_one.eigenvalues, r_off.eigenvalues);
+      EXPECT_EQ(r_one.eigenvectors.data(), r_off.eigenvectors.data());
+      EXPECT_EQ(r_one.sweeps, r_off.sweeps);
+      EXPECT_EQ(r_one.rotations, r_off.rotations);
+      EXPECT_EQ(r_one.comm.messages, r_off.comm.messages);
+      EXPECT_EQ(r_one.comm.elements, r_off.comm.elements);
+    }
+  }
+}
+
 TEST(PipelinedSolver, WithGershgorinShift) {
   Xoshiro256 rng(91);
   const std::vector<double> spectrum = {-5.0, -2.0, 2.0, 3.0, 5.0, 6.0, 8.0, 11.0};
